@@ -155,6 +155,38 @@ void BM_EventQueueScheduleCancelHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleCancelHalf);
 
+void BM_EventQueueBehindCursor(benchmark::State& state) {
+  // One busy level-0 bucket of N entries; each of the first N pops posts a
+  // follow-up less than one bucket span (4.096 us) ahead, inside the bucket
+  // the cursor just activated -- behind the cursor, with the window still
+  // populated. That is the traffic of calibration probes and mailbox
+  // drains; the per-event cost must grow with log N, not with N.
+  const std::int64_t n = state.range(0);
+  constexpr std::int64_t kBucket = 4096;
+  sim::EventQueue q;
+  std::int64_t t = 0;
+  std::uint64_t mix = 0;
+  for (auto _ : state) {
+    const std::int64_t end = t + kBucket;
+    for (std::int64_t i = 0; i < n; ++i) {
+      q.post(sim::SimTime(t + (i * 7919) % kBucket), [] {});
+    }
+    std::int64_t follow_ups = n;
+    while (auto e = q.try_pop()) {
+      benchmark::DoNotOptimize(&e);
+      if (follow_ups-- <= 0) continue;
+      const std::int64_t at = e->time.ns();
+      mix = mix * 6364136223846793005ull + 1442695040888963407ull;
+      q.post(sim::SimTime(at + static_cast<std::int64_t>(
+                                   (mix >> 33) % static_cast<std::uint64_t>(end - at))),
+             [] {});
+    }
+    t = end;
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_EventQueueBehindCursor)->Arg(64)->Arg(1024)->Arg(4096);
+
 void BM_PiServoSample(benchmark::State& state) {
   gptp::PiServo servo;
   std::int64_t ts = 0;

@@ -85,6 +85,7 @@ void PtpInstance::send_message(const Message& msg, std::optional<std::int64_t> l
   net::TxOptions opts;
   opts.launch_time = launch_time;
   opts.on_complete = std::move(on_complete);
+  opts.owner = this;
   nic_.send(std::move(frame), std::move(opts));
 }
 
@@ -93,6 +94,7 @@ void PtpInstance::send_template(const MessageTemplate& tpl, std::optional<std::i
   net::TxOptions opts;
   opts.launch_time = launch_time;
   opts.on_complete = std::move(on_complete);
+  opts.owner = this;
   nic_.send(make_ptp_frame(tpl), std::move(opts));
 }
 
@@ -130,6 +132,17 @@ void PtpInstance::stop() {
   pending_sync_.reset();
   gm_receiving_ = false;
   last_sync_rx_sim_ns_ = -1;
+  // Nothing that captures `this` may outlive the stop: cancel the pending
+  // one-shots and empty this instance's callbacks in the port's ETF queue
+  // (the launches themselves stay, so PHC reads are unchanged).
+  for (auto& h : one_shots_) h.cancel();
+  one_shots_.clear();
+  nic_.port().drop_callbacks(this);
+}
+
+void PtpInstance::track(sim::EventHandle h) {
+  std::erase_if(one_shots_, [](const sim::EventHandle& e) { return !e.pending(); });
+  one_shots_.push_back(h);
 }
 
 void PtpInstance::schedule_at_phc(std::int64_t target_phc, std::function<void()> fn) {
@@ -144,10 +157,10 @@ void PtpInstance::schedule_at_phc(std::int64_t target_phc, std::function<void()>
   const std::uint64_t epoch = epoch_;
   const std::int64_t delay = std::max<std::int64_t>(dt, 1);
   hop_due_ns_ = sim_.now().ns() + delay;
-  sim_.after(delay, [this, target_phc, fn = std::move(fn), epoch]() mutable {
+  track(sim_.after(delay, [this, target_phc, fn = std::move(fn), epoch]() mutable {
     if (epoch != epoch_ || !running_) return;
     schedule_at_phc(target_phc, std::move(fn));
-  });
+  }));
 }
 
 void PtpInstance::schedule_next_sync_tx() {
@@ -178,11 +191,11 @@ void PtpInstance::prepare_sync_tx(std::int64_t launch_phc) {
     // already passed; the ETF qdisc rejects it (deadline miss).
     const std::uint64_t epoch = epoch_;
     const std::int64_t until_launch = std::max<std::int64_t>(launch_phc - nic_.phc().read(), 0);
-    sim_.after(fault_model_.late_launch_delay_ns + until_launch,
-               [this, launch_phc, epoch] {
-                 if (epoch != epoch_ || !running_) return;
-                 transmit_sync(launch_phc);
-               });
+    track(sim_.after(fault_model_.late_launch_delay_ns + until_launch,
+                     [this, launch_phc, epoch] {
+                       if (epoch != epoch_ || !running_) return;
+                       transmit_sync(launch_phc);
+                     }));
     return;
   }
   transmit_sync(launch_phc);
@@ -430,16 +443,16 @@ void PtpInstance::arm_sync_hop_at(std::int64_t due_ns) {
   hop_due_ns_ = due_ns;
   if (cfg_.align_launch) {
     const std::int64_t boundary = next_boundary_phc_;
-    sim_.at(sim::SimTime{due_ns}, [this, boundary, epoch] {
+    track(sim_.at(sim::SimTime{due_ns}, [this, boundary, epoch] {
       if (epoch != epoch_ || !running_) return;
       schedule_at_phc(boundary - cfg_.launch_guard_ns,
                       [this, boundary] { prepare_sync_tx(boundary); });
-    });
+    }));
   } else {
-    sim_.at(sim::SimTime{due_ns}, [this, epoch] {
+    track(sim_.at(sim::SimTime{due_ns}, [this, epoch] {
       if (epoch != epoch_ || !running_) return;
       schedule_at_phc(next_boundary_phc_, [this] { prepare_sync_tx(0); });
-    });
+    }));
   }
 }
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "gptp/bmca.hpp"
 #include "gptp/link_delay.hpp"
@@ -156,6 +157,10 @@ class PtpInstance {
   void deliver_offset(const MasterOffsetSample& sample);
   void check_sync_receipt(sim::SimTime now);
   void schedule_at_phc(std::int64_t target_phc, std::function<void()> fn);
+  /// Keep a one-shot event whose closure captures `this`, so stop() can
+  /// cancel it: a stopped instance may be destroyed (VM shutdown) before
+  /// the event would fire.
+  void track(sim::EventHandle h);
   /// Cold path (Announce): serialize the message into a pooled frame.
   void send_message(const Message& msg, std::optional<std::int64_t> launch_time,
                     net::TxCallback on_complete);
@@ -228,6 +233,7 @@ class PtpInstance {
   FaultCallback fault_cb_;
   InstanceCounters counters_;
   std::uint64_t epoch_ = 0; // bumped on stop() to invalidate in-flight work
+  std::vector<sim::EventHandle> one_shots_; ///< see track()
 };
 
 } // namespace tsn::gptp

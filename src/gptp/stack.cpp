@@ -13,6 +13,8 @@ PtpStack::PtpStack(sim::Simulation& sim, net::Nic& nic, const LinkDelayConfig& l
       link_delay_(
           sim, PortIdentity{ClockIdentity::from_u64(nic.mac().to_u64()), 1},
           [this](net::FrameRef frame, LinkDelayService::TxTsFn on_tx) {
+            // No launch time: the port reports inside send(), so no port
+            // queue ever holds on_tx (or the `this` it captures).
             net::TxOptions opts;
             if (on_tx) {
               opts.on_complete = [on_tx = std::move(on_tx)](const net::TxReport& r) mutable {

@@ -23,7 +23,8 @@ void Port::launch_now(const FrameRef& frame, TxCallback& cb) {
   if (cb) cb(report);
 }
 
-void Port::schedule_launch(FrameRef frame, std::int64_t launch_time, TxCallback cb) {
+void Port::schedule_launch(FrameRef frame, std::int64_t launch_time, TxCallback cb,
+                           const void* owner) {
   std::uint32_t slot;
   if (!etf_free_.empty()) {
     slot = etf_free_.back();
@@ -36,6 +37,7 @@ void Port::schedule_launch(FrameRef frame, std::int64_t launch_time, TxCallback 
   p.frame = std::move(frame);
   p.launch_time = launch_time;
   p.cb = std::move(cb);
+  p.owner = owner;
   const std::int64_t remaining_phc = launch_time - phc_->read();
   arm_launch(slot, remaining_phc);
 }
@@ -81,7 +83,13 @@ void Port::transmit(FrameRef frame, TxOptions opts) {
     if (opts.on_complete) opts.on_complete(TxReport{TxReport::Status::kInvalidLaunch, std::nullopt});
     return;
   }
-  schedule_launch(std::move(frame), lt, std::move(opts.on_complete));
+  schedule_launch(std::move(frame), lt, std::move(opts.on_complete), opts.owner);
+}
+
+void Port::drop_callbacks(const void* owner) {
+  for (PendingLaunch& p : etf_pending_) {
+    if (p.owner == owner) p.cb.reset();
+  }
 }
 
 void Port::deliver(const FrameRef& frame, std::int64_t serialization_ns) {

@@ -69,6 +69,10 @@ struct TxOptions {
   std::optional<std::int64_t> launch_time;
   /// Completion callback (tx timestamp delivery). May be empty.
   TxCallback on_complete;
+  /// The object whose state `on_complete` captures. An owner that goes
+  /// away before its ETF launches fire calls Port::drop_callbacks() with
+  /// it; the launches themselves still happen.
+  const void* owner = nullptr;
 };
 
 struct EtfConfig {
@@ -120,9 +124,17 @@ class Port {
   /// the HW rx timestamp to the start-of-frame delimiter.
   void deliver(const FrameRef& frame, std::int64_t serialization_ns = 0);
 
+  /// Empty the completion callbacks of `owner`'s pending ETF launches.
+  /// The frames still launch on time (with the same PHC reads); only the
+  /// report goes nowhere, so the owner may be destroyed afterwards.
+  void drop_callbacks(const void* owner);
+  /// ETF frames queued and not yet launched.
+  std::size_t launches_in_flight() const { return etf_pending_.size() - etf_free_.size(); }
+
  private:
   void launch_now(const FrameRef& frame, TxCallback& cb);
-  void schedule_launch(FrameRef frame, std::int64_t launch_time, TxCallback cb);
+  void schedule_launch(FrameRef frame, std::int64_t launch_time, TxCallback cb,
+                       const void* owner);
   void arm_launch(std::uint32_t slot, std::int64_t remaining_phc);
   void fire_launch(std::uint32_t slot);
 
@@ -133,6 +145,7 @@ class Port {
     FrameRef frame;
     std::int64_t launch_time = 0;
     TxCallback cb;
+    const void* owner = nullptr;
   };
 
   sim::Simulation& sim_;

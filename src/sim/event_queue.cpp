@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <iterator>
 
 namespace tsn::sim {
 
@@ -19,7 +18,6 @@ void EventQueue::clear() {
   active_.clear();
   active_pos_ = 0;
   staged_.clear();
-  scratch_.clear();
   for (auto& level : bucket_head_) level.fill(kNone);
   for (auto& level : bitmap_) level.fill(0);
   wheel_count_ = 0;
@@ -37,7 +35,8 @@ void EventQueue::clear() {
   live_ = 0;
   // cur_ (activation cursor) and next_seq_ stay: restore re-arms events at
   // or after the restored now(), and behind-cursor inserts go to staging
-  // with pop order unchanged; stats_ are lifetime totals.
+  // (and from there into the window or the heap) with pop order
+  // unchanged; stats_ are lifetime totals.
 }
 
 std::uint32_t EventQueue::alloc_node(SimTime at, std::uint64_t seq,
@@ -108,8 +107,8 @@ void EventQueue::insert_with_seq(SimTime at, std::uint64_t seq,
   const std::int64_t t = at.ns();
   if (t < cur_) {
     // Behind the activated window (e.g. scheduled "now" while draining the
-    // current bucket). Staged unsorted; merged into the window at the next
-    // ordered lookup.
+    // current bucket). Staged unsorted; absorb_staged() files the batch at
+    // the next ordered lookup.
     staged_.push_back(k);
     ++stats_.staged_inserts;
   } else if ((t >> kShift[2]) - (cur_ >> kShift[2]) < kSlots) {
@@ -252,21 +251,43 @@ bool EventQueue::advance_wheel() {
   return false;
 }
 
-void EventQueue::merge_staged() {
-  if (staged_.empty()) return;
-  std::sort(staged_.begin(), staged_.end(), Earlier{});
+void EventQueue::absorb_staged() {
   if (active_pos_ >= active_.size()) {
+    // Window exhausted: the sorted batch becomes the window.
+    std::sort(staged_.begin(), staged_.end(), Earlier{});
     active_.swap(staged_);
+    active_pos_ = 0;
+    stats_.refilled_keys += active_.size();
   } else {
-    scratch_.clear();
-    scratch_.reserve(active_.size() - active_pos_ + staged_.size());
-    std::merge(active_.begin() + static_cast<std::ptrdiff_t>(active_pos_),
-               active_.end(), staged_.begin(), staged_.end(),
-               std::back_inserter(scratch_), Earlier{});
-    active_.swap(scratch_);
+    // Window still populated: merging would cost O(window) per batch, so
+    // the keys join the heap, which locate() already compares against.
+    for (const Key& k : staged_) {
+      heap_.push_back(k);
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
   }
   staged_.clear();
-  active_pos_ = 0;
+}
+
+void EventQueue::skip_dead_active() {
+  while (active_pos_ < active_.size() && !key_live(active_[active_pos_])) {
+    free_node(active_[active_pos_].node);
+    ++active_pos_;
+  }
+}
+
+void EventQueue::reanchor() {
+  // Nothing is buffered at or before the cursor, so it may jump forward to
+  // the earliest pending time; the heap yields its entries in time order,
+  // so those inside the new horizon are exactly a prefix of the pops.
+  cur_ = (heap_.front().time.ns() >> kShift[0]) << kShift[0];
+  while (!heap_.empty() &&
+         (heap_.front().time.ns() >> kShift[2]) - (cur_ >> kShift[2]) < kSlots) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    place(heap_.back());
+    heap_.pop_back();
+    ++wheel_count_;
+  }
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
@@ -293,26 +314,29 @@ void EventQueue::drop_dead_heap() {
 
 void EventQueue::purge_dead() {
   drop_dead_heap();
-  while (active_pos_ < active_.size() && !key_live(active_[active_pos_])) {
-    free_node(active_[active_pos_].node);
-    ++active_pos_;
-  }
+  skip_dead_active();
 }
 
 EventQueue::Src EventQueue::locate() {
-  merge_staged();
+  skip_dead_active();
+  if (!staged_.empty()) {
+    absorb_staged();
+    skip_dead_active();
+  }
   for (;;) {
-    while (active_pos_ < active_.size() && !key_live(active_[active_pos_])) {
-      free_node(active_[active_pos_].node);
-      ++active_pos_;
-    }
+    drop_dead_heap();
     if (active_pos_ < active_.size()) break;
-    if (wheel_count_ == 0) break;
+    // A heap key behind the cursor precedes everything in the wheel.
+    if (!heap_.empty() && heap_.front().time.ns() < cur_) break;
+    if (wheel_count_ == 0) {
+      if (heap_.empty()) break;
+      reanchor();
+    }
     active_.clear();
     active_pos_ = 0;
     advance_wheel();
+    skip_dead_active();
   }
-  drop_dead_heap();
   const bool have_active = active_pos_ < active_.size();
   const bool have_heap = !heap_.empty();
   if (have_active && have_heap) {

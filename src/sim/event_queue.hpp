@@ -18,16 +18,28 @@
 // state allocates nothing regardless of which ring slot an event lands in.
 // The entry (with its 64-byte inline closure) is written into its node
 // once at insert and read once at pop; everything in between — cascades,
-// activation, sorting, the staging merge, the spill heap — shuffles
+// activation, sorting, staging, the spill heap — shuffles
 // trivially-copyable 24-byte (time, seq, node) keys, and re-bucketing a
 // node is a pure pointer relink.
 // A bucket is sorted only when the cursor reaches it ("activate"), which
 // amortizes to O(log bucket-size) per event; per-level occupancy bitmaps
-// let the cursor jump over empty regions in O(1) words. Events landing
-// before the cursor (the already-activated window) go to a small staging
-// list merged on the next pop. The global pop order is min((time, seq))
-// over the activated bucket, the staging list and the heap top —
-// byte-identical to the pure heap implementation this replaces.
+// let the cursor jump over empty regions in O(1) words.
+//
+// Events landing before the cursor (behind the already-activated window)
+// are staged unsorted and absorbed at the next ordered lookup. If the
+// window is exhausted by then, the sorted batch simply becomes the new
+// window (the common "post now, pop next" pattern). If the window is
+// still populated, the staged keys go onto the spill heap instead: each
+// costs O(log n), never O(window), so a busy bucket whose pops post
+// follow-ups into itself stays O(log n) per event. While the heap top lies
+// behind the cursor it is the global minimum and the wheel does not
+// advance. When window, wheel and staging are all empty and the heap top
+// lies at or after the cursor (after a fast-forward jump, say), the cursor
+// re-anchors at the heap top's level-0 bucket and every heap entry inside
+// the new horizon moves into the wheel, so later inserts land in buckets
+// again rather than spilling. The global pop order is min((time, seq))
+// over the activated window and the heap top — byte-identical to the pure
+// heap implementation this replaces.
 //
 // Cancellation uses a slab of generation-counted slots instead of a
 // per-event heap allocation: an EventHandle is (queue, slot index,
@@ -84,7 +96,8 @@ struct QueueStats {
   std::uint64_t cancelled = 0;      ///< successful cancels
   std::uint64_t fired = 0;          ///< events popped for execution
   std::uint64_t wheel_inserts = 0;  ///< entries that landed in a wheel bucket
-  std::uint64_t staged_inserts = 0; ///< entries behind the cursor (merged at pop)
+  std::uint64_t staged_inserts = 0; ///< entries behind the cursor (staged)
+  std::uint64_t refilled_keys = 0;  ///< staged keys swapped in as a window
   std::uint64_t heap_spills = 0;    ///< entries beyond the wheel horizon
   std::uint64_t cascades = 0;       ///< higher-level buckets redistributed
 };
@@ -247,7 +260,9 @@ class EventQueue {
                        std::uint32_t gen, EventFn&& fn);
   void place(Key k); ///< drop into a wheel bucket; pre: cur_ <= time < horizon
   void add_bucket(int level, std::int64_t abs_idx, std::uint32_t node);
-  void merge_staged();
+  void absorb_staged();
+  void skip_dead_active();
+  void reanchor(); ///< pre: window, staging and wheel empty; heap top >= cur_
   bool advance_wheel(); ///< move cursor to next occupied bucket, activate it
   void activate(std::int64_t abs_l0_idx);
   void cascade(int level, std::int64_t abs_idx);
@@ -261,8 +276,7 @@ class EventQueue {
   // which the not-yet-activated wheel begins (end of the active window).
   std::vector<Key> active_;
   std::size_t active_pos_ = 0;
-  std::vector<Key> staged_; ///< inserts behind cur_; merged at next pop
-  std::vector<Key> scratch_;
+  std::vector<Key> staged_; ///< inserts behind cur_; absorbed at next lookup
   std::int64_t cur_ = 0;
 
   std::vector<Node> nodes_;          ///< slab holding every buffered entry
@@ -271,7 +285,7 @@ class EventQueue {
   std::array<std::uint64_t, kSlots / 64> bitmap_[3] = {};
   std::size_t wheel_count_ = 0; ///< entries currently in wheel buckets
 
-  std::vector<Key> heap_; ///< beyond-horizon spill
+  std::vector<Key> heap_; ///< beyond-horizon spill + staged overflow
   std::vector<std::uint32_t> slot_gen_; ///< current generation per slot
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;

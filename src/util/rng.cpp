@@ -29,7 +29,11 @@ std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double RngStream::normal(double mean, double stddev) {
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  // Scale a standard normal rather than pass `stddev` to the distribution:
+  // its precondition is stddev > 0, and callers pass 0 (noise-free clock
+  // models). libstdc++ computes the same expression, so draws are
+  // bit-identical.
+  return std::normal_distribution<double>()(engine_) * stddev + mean;
 }
 
 double RngStream::exponential(double mean) {

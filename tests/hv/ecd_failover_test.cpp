@@ -3,6 +3,7 @@
 // network, which keeps these tests focused on the dependent-clock logic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "hv/ecd.hpp"
@@ -183,6 +184,48 @@ TEST(EcdTest, CompromiseBeforeBootAppliesAfterBuild) {
   ASSERT_NE(inst, nullptr);
   EXPECT_TRUE(inst->is_malicious());
   EXPECT_TRUE(vm.compromised());
+}
+
+// A grandmaster's Sync waits in the NIC port's ETF queue for up to the
+// launch guard. Killing the VM in that gap destroys the PtpInstance whose
+// completion callback the queued launch holds; the launch must still go
+// out on time, with nothing left that points into the dead instance.
+// (Under -fsanitize=address this is the use-after-free regression.)
+TEST(EcdTest, ShutdownWithEtfLaunchInFlight) {
+  Simulation sim{23};
+  Ecd ecd(sim, {"ecd1", quiet(), {}});
+  ClockSyncVmConfig gm = vm_cfg("gm", 0x21);
+  gm.gm_domain = 1;
+  ecd.add_clock_sync_vm(gm);
+  ecd.start();
+  ClockSyncVm& vm = ecd.vm(0);
+  const net::Port& port = vm.nic().port();
+
+  std::int64_t t = 0;
+  while (port.launches_in_flight() == 0 && t < 2_s) {
+    t += 100'000;
+    sim.run_until(SimTime(t));
+  }
+  ASSERT_EQ(port.launches_in_flight(), 1u) << "no Sync ever queued for launch";
+  vm.shutdown();
+  EXPECT_FALSE(vm.running());
+  EXPECT_EQ(port.launches_in_flight(), 1u); // the launch itself is kept
+
+  // Run past the launch time (at most one launch guard away).
+  t += 5'000'000;
+  sim.run_until(SimTime(t));
+  EXPECT_EQ(port.launches_in_flight(), 0u);
+
+  // The rebooted instance runs a single sync chain: one launch at a time.
+  vm.boot(false);
+  std::size_t max_in_flight = 0;
+  for (int i = 0; i < 1000; ++i) {
+    t += 1'000'000;
+    sim.run_until(SimTime(t));
+    max_in_flight = std::max(max_in_flight, port.launches_in_flight());
+  }
+  EXPECT_TRUE(vm.running());
+  EXPECT_EQ(max_in_flight, 1u);
 }
 
 } // namespace
