@@ -559,9 +559,8 @@ void InvariantSuite::arm() {
     return;
   }
   trace_cursor_ = scenario_.trace().total();
-  const std::int64_t start = scenario_.sim().now().ns();
-  poll_ = scenario_.sim().every(sim::SimTime(start + poll_period_ns_), poll_period_ns_,
-                                [this](sim::SimTime t) { poll(t.ns()); });
+  parked_poll_.park_at(scenario_.sim().now().ns() + poll_period_ns_);
+  ff_resume();
 }
 
 void InvariantSuite::poll(std::int64_t now_ns) {
@@ -585,22 +584,17 @@ bool InvariantSuite::ff_quiescent(std::int64_t now_ns) const {
 }
 
 void InvariantSuite::ff_park() {
-  parked_poll_ = poll_.active();
-  if (!parked_poll_) return;
-  park_due_ns_ = poll_.next_due_ns();
-  poll_.cancel();
+  const bool polling = poll_.active();
+  parked_poll_.park(poll_);
+  if (!polling) return;
   // One last poll at the park instant: everything already traced belongs
   // to the pre-window world and must be judged with pre-window deadlines.
   poll(scenario_.sim().now().ns());
 }
 
 void InvariantSuite::ff_resume() {
-  if (!parked_poll_) return;
-  parked_poll_ = false;
-  poll_ = scenario_.sim().every(
-      sim::SimTime(
-          sim::align_phase(park_due_ns_, poll_period_ns_, scenario_.sim().now().ns())),
-      poll_period_ns_, [this](sim::SimTime t) { poll(t.ns()); });
+  parked_poll_.resume(scenario_.sim(), poll_, poll_period_ns_,
+                      [this](sim::SimTime t) { poll(t.ns()); });
 }
 
 void InvariantSuite::dispatch_until(std::int64_t now_ns) {

@@ -408,10 +408,7 @@ class InvariantSuite : public ViolationSink, public sim::Persistent {
   std::int64_t poll_period_ns_ = 50'000'000;
   std::size_t max_violations_ = 200;
   std::uint64_t suppressed_ = 0;
-
-  // Fast-forward park state.
-  bool parked_poll_ = false;
-  std::int64_t park_due_ns_ = 0;
+  sim::ParkedTimer parked_poll_;
 };
 
 } // namespace tsn::check

@@ -151,22 +151,18 @@ void MultiDomainCoordinator::enter_fta_phase() {
   if (on_phase_change) on_phase_change(SyncPhase::kFta);
 }
 
-void MultiDomainCoordinator::save_state(sim::StateWriter& w) const {
-  servo_.save_state(w);
-  w.i64(startup_ok_streak_);
-  w.u64(last_validity_.size());
-  for (const bool v : last_validity_) w.b(v);
+template <class Ar>
+void MultiDomainCoordinator::persist(Ar& ar) {
+  servo_.persist(ar);
+  ar.i64(startup_ok_streak_);
+  std::uint64_t n = last_validity_.size();
+  ar.u64(n);
+  if constexpr (Ar::kLoading) last_validity_.assign(n, false);
+  ar.bits(last_validity_);
   // Counters live in the metrics registry, which is observational and
   // deliberately outside snapshot state.
 }
-
-void MultiDomainCoordinator::load_state(sim::StateReader& r) {
-  servo_.load_state(r);
-  startup_ok_streak_ = static_cast<int>(r.i64());
-  const std::uint64_t n = r.u64();
-  last_validity_.assign(n, false);
-  for (std::uint64_t i = 0; i < n; ++i) last_validity_[i] = r.b();
-}
+TSN_PERSIST_INSTANTIATE(MultiDomainCoordinator);
 
 void MultiDomainCoordinator::fta_step(const gptp::MasterOffsetSample& sample) {
   const std::int64_t now = phc_.read();

@@ -82,8 +82,7 @@ class MultiDomainCoordinator {
   gptp::PiServo::State servo_state() const { return servo_.state(); }
 
   // -- Snapshot support (callback-driven: no standing events) --------------
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   /// Reads the live counters into a plain struct (by value: the backing
   /// store is the metrics registry, not a member struct).
   CoordinatorStats stats() const;

@@ -50,39 +50,27 @@ bool FtShmem::gm_valid(std::size_t idx) const {
   return valid_[idx].load(std::memory_order_acquire);
 }
 
-void FtShmem::save_state(sim::StateWriter& w) const {
+template <class Ar>
+void FtShmem::persist(Ar& ar) {
   for (std::size_t i = 0; i < num_domains_; ++i) {
-    const std::uint32_t count = sample_counts_[i].load(std::memory_order_acquire);
-    w.u32(count);
-    const GmOffsetRecord rec = count ? offsets_[i].load() : GmOffsetRecord{};
-    w.f64(rec.offset_ns);
-    w.i64(rec.local_rx_ts);
-    w.f64(rec.rate_ratio);
-    w.u32(rec.sample_count);
-    w.b(valid_[i].load(std::memory_order_acquire));
-  }
-  w.i64(adjust_last_.load(std::memory_order_acquire));
-  w.f64(servo_integral_.load(std::memory_order_acquire));
-  w.u8(phase_.load(std::memory_order_acquire));
-  w.u64(aggregations_.load(std::memory_order_acquire));
-}
-
-void FtShmem::load_state(sim::StateReader& r) {
-  for (std::size_t i = 0; i < num_domains_; ++i) {
-    sample_counts_[i].store(r.u32(), std::memory_order_release);
+    ar.u32(sample_counts_[i]);
     GmOffsetRecord rec;
-    rec.offset_ns = r.f64();
-    rec.local_rx_ts = r.i64();
-    rec.rate_ratio = r.f64();
-    rec.sample_count = r.u32();
-    offsets_[i].store(rec);
-    valid_[i].store(r.b(), std::memory_order_release);
+    if constexpr (!Ar::kLoading) {
+      if (sample_counts_[i].load(std::memory_order_acquire) != 0) rec = offsets_[i].load();
+    }
+    ar.f64(rec.offset_ns);
+    ar.i64(rec.local_rx_ts);
+    ar.f64(rec.rate_ratio);
+    ar.u32(rec.sample_count);
+    if constexpr (Ar::kLoading) offsets_[i].store(rec);
+    ar.b(valid_[i]);
   }
-  adjust_last_.store(r.i64(), std::memory_order_release);
-  servo_integral_.store(r.f64(), std::memory_order_release);
-  phase_.store(r.u8(), std::memory_order_release);
-  aggregations_.store(r.u64(), std::memory_order_release);
+  ar.i64(adjust_last_);
+  ar.f64(servo_integral_);
+  ar.u8(phase_);
+  ar.u64(aggregations_);
 }
+TSN_PERSIST_INSTANTIATE(FtShmem);
 
 void FtShmem::ff_shift(std::int64_t shift_ns, std::int64_t entry_now_ns,
                        std::int64_t freshness_ns) {

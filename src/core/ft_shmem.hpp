@@ -22,11 +22,6 @@
 
 #include "core/seqlock.hpp"
 
-namespace tsn::sim {
-class StateWriter;
-class StateReader;
-} // namespace tsn::sim
-
 namespace tsn::core {
 
 inline constexpr std::size_t kMaxDomains = 8;
@@ -85,8 +80,7 @@ class FtShmem {
   void count_aggregation() { aggregations_.fetch_add(1, std::memory_order_acq_rel); }
 
   // -- Snapshot / fast-forward support -------------------------------------
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   /// Fast-forward: shift the gate stamp and the rx stamps of slots that
   /// were *fresh at window entry* (`entry_now_ns`, same timebase as
   /// local_rx_ts -- the owning VM's PHC) by `shift_ns`. Stale slots keep

@@ -69,42 +69,22 @@ BmcaEngine::Decision BmcaEngine::evaluate(std::int64_t now_ns) {
   return d;
 }
 
-void BmcaEngine::save_state(sim::StateWriter& w) const {
-  w.u64(foreign_.size());
-  for (const auto& [id, f] : foreign_) {
-    w.u64(id);
-    w.u8(f.vector.priority1);
-    w.u8(f.vector.quality.clock_class);
-    w.u8(f.vector.quality.clock_accuracy);
-    w.u16(f.vector.quality.offset_scaled_log_variance);
-    w.u8(f.vector.priority2);
-    w.u64(f.vector.identity.to_u64());
-    w.u16(f.vector.steps_removed);
-    w.u64(f.source.clock.to_u64());
-    w.u16(f.source.port);
-    w.i64(f.last_seen_ns);
-  }
+template <class Ar>
+void BmcaEngine::persist(Ar& ar) {
+  ar.map(foreign_, [&ar](auto& id, Foreign& f) {
+    ar.u64(id);
+    ar.u8(f.vector.priority1);
+    ar.u8(f.vector.quality.clock_class);
+    ar.u8(f.vector.quality.clock_accuracy);
+    ar.u16(f.vector.quality.offset_scaled_log_variance);
+    ar.u8(f.vector.priority2);
+    f.vector.identity.persist(ar);
+    ar.u16(f.vector.steps_removed);
+    f.source.persist(ar);
+    ar.i64(f.last_seen_ns);
+  });
 }
-
-void BmcaEngine::load_state(sim::StateReader& r) {
-  foreign_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    Foreign f;
-    f.vector.priority1 = r.u8();
-    f.vector.quality.clock_class = r.u8();
-    f.vector.quality.clock_accuracy = r.u8();
-    f.vector.quality.offset_scaled_log_variance = r.u16();
-    f.vector.priority2 = r.u8();
-    f.vector.identity = ClockIdentity::from_u64(r.u64());
-    f.vector.steps_removed = r.u16();
-    f.source.clock = ClockIdentity::from_u64(r.u64());
-    f.source.port = r.u16();
-    f.last_seen_ns = r.i64();
-    foreign_.emplace(id, f);
-  }
-}
+TSN_PERSIST_INSTANTIATE(BmcaEngine);
 
 void BmcaEngine::ff_advance(const sim::FfWindow& w) {
   for (auto& [id, f] : foreign_) f.last_seen_ns += w.span_ns();

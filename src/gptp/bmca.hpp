@@ -12,8 +12,6 @@
 #include "gptp/types.hpp"
 
 namespace tsn::sim {
-class StateWriter;
-class StateReader;
 struct FfWindow;
 } // namespace tsn::sim
 
@@ -64,8 +62,7 @@ class BmcaEngine {
   const Config& config() const { return cfg_; }
 
   /// Snapshot support: the foreign-master table.
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   /// Fast-forward: shift last-seen stamps so foreign masters keep the age
   /// they had when the window opened.
   void ff_advance(const sim::FfWindow& w);

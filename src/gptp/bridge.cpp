@@ -108,11 +108,12 @@ void TimeAwareBridge::start_sync_storm(std::uint8_t domain, std::int64_t period_
   if (storm_.active()) return;
   storm_domain_ = domain;
   storm_period_ns_ = period_ns;
-  arm_storm(sim_.now().ns());
+  storm_parked_.park_at(sim_.now().ns());
+  resume_storm();
 }
 
-void TimeAwareBridge::arm_storm(std::int64_t first_ns) {
-  storm_ = sim_.every(sim::SimTime{first_ns}, storm_period_ns_, [this](sim::SimTime) {
+void TimeAwareBridge::resume_storm() {
+  storm_parked_.resume(sim_, storm_, storm_period_ns_, [this](sim::SimTime) {
     SyncMessage sync;
     sync.header.type = MessageType::kSync;
     sync.header.two_step = false; // standalone: no FollowUp ever comes
@@ -129,70 +130,32 @@ void TimeAwareBridge::arm_storm(std::int64_t first_ns) {
 
 void TimeAwareBridge::stop_sync_storm() { storm_.cancel(); }
 
-void TimeAwareBridge::save_state(sim::StateWriter& w) {
-  w.b(started_);
-  w.u64(counters_.syncs_relayed);
-  w.u64(counters_.followups_relayed);
-  w.u64(counters_.announces_relayed);
-  w.u64(counters_.syncs_on_non_slave_port);
-  w.u64(counters_.malformed);
-  w.u64(counters_.storm_syncs_sent);
-  for (auto& ld : link_delay_) ld->save_state(w);
-  for (const auto& [domain, ds] : domains_) {
-    w.b(ds.pending.has_value());
-    const PendingSync p = ds.pending.value_or(PendingSync{});
-    w.u16(p.seq);
-    w.i64(p.rx_ts);
-    w.i64(p.correction_scaled);
-    w.u64(p.source.clock.to_u64());
-    w.u16(p.source.port);
-    w.u64(p.ingress_port);
-  }
-  w.b(atk_corr_domain_.has_value());
-  w.u8(atk_corr_domain_.value_or(0));
-  w.f64(atk_corr_bias_ns_);
-  w.b(storm_.active());
-  w.i64(storm_.next_due_ns());
-  w.u16(storm_seq_);
-  w.u8(storm_domain_);
-  w.i64(storm_period_ns_);
-}
-
-void TimeAwareBridge::load_state(sim::StateReader& r) {
-  started_ = r.b();
-  counters_.syncs_relayed = r.u64();
-  counters_.followups_relayed = r.u64();
-  counters_.announces_relayed = r.u64();
-  counters_.syncs_on_non_slave_port = r.u64();
-  counters_.malformed = r.u64();
-  counters_.storm_syncs_sent = r.u64();
-  for (auto& ld : link_delay_) ld->load_state(r);
+template <class Ar>
+void TimeAwareBridge::persist(Ar& ar) {
+  ar.b(started_);
+  ar.u64(counters_.syncs_relayed);
+  ar.u64(counters_.followups_relayed);
+  ar.u64(counters_.announces_relayed);
+  ar.u64(counters_.syncs_on_non_slave_port);
+  ar.u64(counters_.malformed);
+  ar.u64(counters_.storm_syncs_sent);
+  for (auto& ld : link_delay_) ld->persist(ar);
   for (auto& [domain, ds] : domains_) {
-    const bool has = r.b();
-    PendingSync p;
-    p.seq = r.u16();
-    p.rx_ts = r.i64();
-    p.correction_scaled = r.i64();
-    p.source = PortIdentity{ClockIdentity::from_u64(r.u64()), 0};
-    p.source.port = r.u16();
-    p.ingress_port = r.u64();
-    ds.pending.reset();
-    if (has) ds.pending = p;
+    ar.opt(ds.pending, [&ar](PendingSync& p) {
+      ar.u16(p.seq);
+      ar.i64(p.rx_ts);
+      ar.i64(p.correction_scaled);
+      p.source.persist(ar);
+      ar.u64(p.ingress_port);
+    });
   }
-  const bool has_corr = r.b();
-  const std::uint8_t corr_domain = r.u8();
-  atk_corr_domain_.reset();
-  if (has_corr) atk_corr_domain_ = corr_domain;
-  atk_corr_bias_ns_ = r.f64();
-  const bool storm_active = r.b();
-  const std::int64_t storm_due = r.i64();
-  storm_seq_ = r.u16();
-  storm_domain_ = r.u8();
-  storm_period_ns_ = r.i64();
-  storm_ = {};
-  if (storm_active) {
-    arm_storm(sim::align_phase(storm_due, storm_period_ns_, sim_.now().ns()));
-  }
+  ar.opt(atk_corr_domain_, [&ar](std::uint8_t& d) { ar.u8(d); });
+  ar.f64(atk_corr_bias_ns_);
+  storm_parked_.persist(ar, storm_);
+  ar.u16(storm_seq_);
+  ar.u8(storm_domain_);
+  ar.i64(storm_period_ns_);
+  if constexpr (Ar::kLoading) resume_storm();
 }
 
 std::size_t TimeAwareBridge::live_events() const {
@@ -203,9 +166,7 @@ std::size_t TimeAwareBridge::live_events() const {
 
 void TimeAwareBridge::ff_park() {
   for (auto& ld : link_delay_) ld->ff_park();
-  parked_storm_ = storm_.active();
-  park_storm_due_ns_ = storm_.next_due_ns();
-  storm_.cancel();
+  storm_parked_.park(storm_);
 }
 
 void TimeAwareBridge::ff_advance(const sim::FfWindow& w) {
@@ -217,10 +178,7 @@ void TimeAwareBridge::ff_advance(const sim::FfWindow& w) {
 
 void TimeAwareBridge::ff_resume() {
   for (auto& ld : link_delay_) ld->ff_resume();
-  if (parked_storm_) {
-    parked_storm_ = false;
-    arm_storm(sim::align_phase(park_storm_due_ns_, storm_period_ns_, sim_.now().ns()));
-  }
+  resume_storm();
 }
 
 void TimeAwareBridge::on_ptp(std::size_t port_idx, const net::EthernetFrame& frame,

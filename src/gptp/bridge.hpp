@@ -93,8 +93,8 @@ class TimeAwareBridge : public sim::Persistent {
 
   // -- sim::Persistent ------------------------------------------------------
   const char* persist_name() const override { return name_.c_str(); }
-  void save_state(sim::StateWriter& w) override;
-  void load_state(sim::StateReader& r) override;
+  void save_state(sim::StateWriter& w) override { persist(w); }
+  void load_state(sim::StateReader& r) override { persist(r); }
   std::size_t live_events() const override;
   void ff_park() override;
   void ff_advance(const sim::FfWindow& w) override;
@@ -141,8 +141,9 @@ class TimeAwareBridge : public sim::Persistent {
                             LinkDelayService::TxTsFn on_tx);
   std::uint32_t alloc_relay_slot();
   PortIdentity port_identity(std::size_t port_idx) const;
-  /// (Re-)create the storm periodic from storm_domain_/storm_period_ns_.
-  void arm_storm(std::int64_t first_ns);
+  template <class Ar> void persist(Ar& ar);
+  /// (Re-)create the parked storm periodic from storm_domain_/storm_period_ns_.
+  void resume_storm();
 
   sim::Simulation& sim_;
   net::Switch& sw_;
@@ -161,10 +162,7 @@ class TimeAwareBridge : public sim::Persistent {
   std::uint16_t storm_seq_ = 0;
   std::uint8_t storm_domain_ = 0;      ///< remembered for re-arming
   std::int64_t storm_period_ns_ = 0;   ///< 0 = storm never armed
-
-  // Fast-forward park state.
-  bool parked_storm_ = false;
-  std::int64_t park_storm_due_ns_ = 0;
+  sim::ParkedTimer storm_parked_;
 
   // Pre-built relay PDU images; every varying field (domain, egress port
   // identity, seq, correction, timestamps, TLV) is patched per transmission.

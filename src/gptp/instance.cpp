@@ -101,25 +101,31 @@ void PtpInstance::send_template(const MessageTemplate& tpl, std::optional<std::i
 void PtpInstance::start() {
   if (running_) return;
   running_ = true;
-  if (role_ == PortRole::kMaster && !cfg_.use_bmca) {
-    schedule_next_sync_tx();
-  }
+  const std::int64_t now = sim_.now().ns();
   if (role_ == PortRole::kSlave || cfg_.use_bmca) {
-    sync_check_ = sim_.every(sim_.now() + cfg_.sync_interval_ns, cfg_.sync_interval_ns,
-                             [this](sim::SimTime t) { check_sync_receipt(t); });
+    park_sync_check_.park_at(now + cfg_.sync_interval_ns);
     if (cfg_.delay_mechanism == DelayMechanism::kE2E) {
-      delay_req_timer_ = sim_.every(sim_.now() + cfg_.delay_req_interval_ns,
-                                    cfg_.delay_req_interval_ns,
-                                    [this](sim::SimTime) { send_delay_req(); });
+      park_delay_req_.park_at(now + cfg_.delay_req_interval_ns);
     }
   }
   if (cfg_.use_bmca) {
-    announce_tx_ = sim_.every(sim_.now(), cfg_.announce_interval_ns,
-                              [this](sim::SimTime) { send_announce(); });
-    bmca_eval_ = sim_.every(sim_.now() + cfg_.announce_interval_ns, cfg_.announce_interval_ns,
-                            [this](sim::SimTime) { evaluate_bmca(); });
-    schedule_next_sync_tx(); // starts as master
+    park_announce_.park_at(now);
+    park_bmca_.park_at(now + cfg_.announce_interval_ns);
   }
+  resume_timers([this] { schedule_next_sync_tx(); }); // a BMCA port starts as master
+}
+
+void PtpInstance::resume_timers(const std::function<void()>& sync_hop) {
+  if (!cfg_.use_bmca) sync_hop();
+  park_sync_check_.resume(sim_, sync_check_, cfg_.sync_interval_ns,
+                          [this](sim::SimTime t) { check_sync_receipt(t); });
+  park_delay_req_.resume(sim_, delay_req_timer_, cfg_.delay_req_interval_ns,
+                         [this](sim::SimTime) { send_delay_req(); });
+  park_announce_.resume(sim_, announce_tx_, cfg_.announce_interval_ns,
+                        [this](sim::SimTime) { send_announce(); });
+  park_bmca_.resume(sim_, bmca_eval_, cfg_.announce_interval_ns,
+                    [this](sim::SimTime) { evaluate_bmca(); });
+  if (cfg_.use_bmca) sync_hop();
 }
 
 void PtpInstance::stop() {
@@ -456,139 +462,59 @@ void PtpInstance::arm_sync_hop_at(std::int64_t due_ns) {
   }
 }
 
-void PtpInstance::save_state(sim::StateWriter& w) {
-  w.b(running_);
-  w.u8(static_cast<std::uint8_t>(role_));
-  w.u16(sync_seq_);
-  w.i64(next_boundary_phc_);
-  w.i64(hop_due_ns_);
-  w.rng(fault_rng_);
-  w.b(pending_sync_.has_value());
-  if (pending_sync_) {
-    w.u16(pending_sync_->seq);
-    w.i64(pending_sync_->rx_ts);
-    w.i64(pending_sync_->correction_scaled);
-    w.u64(pending_sync_->source.clock.to_u64());
-    w.u16(pending_sync_->source.port);
+template <class Ar>
+void PtpInstance::persist(Ar& ar) {
+  if constexpr (Ar::kLoading) ++epoch_; // invalidate anything captured before the restore
+  ar.b(running_);
+  ar.u8(role_);
+  ar.u16(sync_seq_);
+  ar.i64(next_boundary_phc_);
+  ar.i64(hop_due_ns_);
+  ar.rng(fault_rng_);
+  ar.opt_sparse(pending_sync_, [&ar](PendingSync& p) {
+    ar.u16(p.seq);
+    ar.i64(p.rx_ts);
+    ar.i64(p.correction_scaled);
+    p.source.persist(ar);
+  });
+  ar.i64(last_sync_rx_sim_ns_);
+  ar.opt(e2e_last_sync_, [&ar](auto& s) {
+    ar.f64(s.first);
+    ar.i64(s.second);
+  });
+  ar.u16(delay_req_seq_);
+  ar.opt_i64(e2e_t3_);
+  ar.f64(e2e_delay_ns_);
+  ar.b(gm_receiving_);
+  park_sync_check_.persist(ar, sync_check_);
+  park_delay_req_.persist(ar, delay_req_timer_);
+  park_announce_.persist(ar, announce_tx_);
+  park_bmca_.persist(ar, bmca_eval_);
+  if (bmca_) bmca_->persist(ar);
+  ar.u16(announce_seq_);
+  ar.opt_sparse(local_servo_, [&ar](PiServo& s) { s.persist(ar); });
+  ar.i64(malicious_pot_offset_ns_);
+  ar.u64(counters_.syncs_sent);
+  ar.u64(counters_.followups_sent);
+  ar.u64(counters_.syncs_received);
+  ar.u64(counters_.offsets_computed);
+  ar.u64(counters_.tx_timestamp_timeouts);
+  ar.u64(counters_.deadline_misses);
+  ar.u64(counters_.sync_receipt_timeouts);
+  ar.u64(counters_.malformed_messages);
+  ar.u64(counters_.delay_reqs_answered);
+  ar.u64(counters_.delay_resps_received);
+  if constexpr (Ar::kLoading) {
+    if (!running_) {
+      hop_due_ns_ = -1;
+      return;
+    }
+    resume_timers([this] {
+      if (role_ == PortRole::kMaster && hop_due_ns_ >= 0) arm_sync_hop_at(hop_due_ns_);
+    });
   }
-  w.i64(last_sync_rx_sim_ns_);
-  w.b(e2e_last_sync_.has_value());
-  w.f64(e2e_last_sync_ ? e2e_last_sync_->first : 0.0);
-  w.i64(e2e_last_sync_ ? e2e_last_sync_->second : 0);
-  w.u16(delay_req_seq_);
-  w.opt_i64(e2e_t3_);
-  w.f64(e2e_delay_ns_);
-  w.b(gm_receiving_);
-  w.b(sync_check_.active());
-  w.i64(sync_check_.next_due_ns());
-  w.b(delay_req_timer_.active());
-  w.i64(delay_req_timer_.next_due_ns());
-  w.b(announce_tx_.active());
-  w.i64(announce_tx_.next_due_ns());
-  w.b(bmca_eval_.active());
-  w.i64(bmca_eval_.next_due_ns());
-  if (bmca_) bmca_->save_state(w);
-  w.u16(announce_seq_);
-  w.b(local_servo_.has_value());
-  if (local_servo_) local_servo_->save_state(w);
-  w.i64(malicious_pot_offset_ns_);
-  w.u64(counters_.syncs_sent);
-  w.u64(counters_.followups_sent);
-  w.u64(counters_.syncs_received);
-  w.u64(counters_.offsets_computed);
-  w.u64(counters_.tx_timestamp_timeouts);
-  w.u64(counters_.deadline_misses);
-  w.u64(counters_.sync_receipt_timeouts);
-  w.u64(counters_.malformed_messages);
-  w.u64(counters_.delay_reqs_answered);
-  w.u64(counters_.delay_resps_received);
 }
-
-void PtpInstance::load_state(sim::StateReader& r) {
-  ++epoch_; // invalidate anything captured before the restore
-  sync_check_ = {};
-  delay_req_timer_ = {};
-  announce_tx_ = {};
-  bmca_eval_ = {};
-  running_ = r.b();
-  role_ = static_cast<PortRole>(r.u8());
-  sync_seq_ = r.u16();
-  next_boundary_phc_ = r.i64();
-  const std::int64_t hop_due = r.i64();
-  r.rng(fault_rng_);
-  if (r.b()) {
-    PendingSync p;
-    p.seq = r.u16();
-    p.rx_ts = r.i64();
-    p.correction_scaled = r.i64();
-    p.source.clock = ClockIdentity::from_u64(r.u64());
-    p.source.port = r.u16();
-    pending_sync_ = p;
-  } else {
-    pending_sync_.reset();
-  }
-  last_sync_rx_sim_ns_ = r.i64();
-  const bool has_e2e = r.b();
-  const double e2e_t1 = r.f64();
-  const std::int64_t e2e_t2 = r.i64();
-  e2e_last_sync_ = has_e2e ? std::optional<std::pair<double, std::int64_t>>({e2e_t1, e2e_t2})
-                           : std::nullopt;
-  delay_req_seq_ = r.u16();
-  e2e_t3_ = r.opt_i64<std::int64_t>();
-  e2e_delay_ns_ = r.f64();
-  gm_receiving_ = r.b();
-  const bool sc_run = r.b();
-  const std::int64_t sc_due = r.i64();
-  const bool dr_run = r.b();
-  const std::int64_t dr_due = r.i64();
-  const bool at_run = r.b();
-  const std::int64_t at_due = r.i64();
-  const bool be_run = r.b();
-  const std::int64_t be_due = r.i64();
-  if (bmca_) bmca_->load_state(r);
-  announce_seq_ = r.u16();
-  const bool has_servo = r.b();
-  if (has_servo) {
-    if (!local_servo_) local_servo_ = PiServo();
-    local_servo_->load_state(r);
-  }
-  malicious_pot_offset_ns_ = r.i64();
-  counters_.syncs_sent = r.u64();
-  counters_.followups_sent = r.u64();
-  counters_.syncs_received = r.u64();
-  counters_.offsets_computed = r.u64();
-  counters_.tx_timestamp_timeouts = r.u64();
-  counters_.deadline_misses = r.u64();
-  counters_.sync_receipt_timeouts = r.u64();
-  counters_.malformed_messages = r.u64();
-  counters_.delay_reqs_answered = r.u64();
-  counters_.delay_resps_received = r.u64();
-  if (!running_) {
-    hop_due_ns_ = -1;
-    return;
-  }
-  // Re-arm standing events in the same order start() creates them so
-  // same-timestamp firings keep their boot-time relative sequence order.
-  const bool master_chain = role_ == PortRole::kMaster && hop_due >= 0;
-  if (master_chain && !cfg_.use_bmca) arm_sync_hop_at(hop_due);
-  if (sc_run) {
-    sync_check_ = sim_.every(sim::SimTime{sc_due}, cfg_.sync_interval_ns,
-                             [this](sim::SimTime t) { check_sync_receipt(t); });
-  }
-  if (dr_run) {
-    delay_req_timer_ = sim_.every(sim::SimTime{dr_due}, cfg_.delay_req_interval_ns,
-                                  [this](sim::SimTime) { send_delay_req(); });
-  }
-  if (at_run) {
-    announce_tx_ = sim_.every(sim::SimTime{at_due}, cfg_.announce_interval_ns,
-                              [this](sim::SimTime) { send_announce(); });
-  }
-  if (be_run) {
-    bmca_eval_ = sim_.every(sim::SimTime{be_due}, cfg_.announce_interval_ns,
-                            [this](sim::SimTime) { evaluate_bmca(); });
-  }
-  if (master_chain && cfg_.use_bmca) arm_sync_hop_at(hop_due);
-}
+TSN_PERSIST_INSTANTIATE(PtpInstance);
 
 std::size_t PtpInstance::live_events() const {
   if (!running_) return 0;
@@ -602,14 +528,10 @@ std::size_t PtpInstance::live_events() const {
 }
 
 void PtpInstance::ff_park() {
-  park_sync_check_ = {sync_check_.active(), sync_check_.next_due_ns()};
-  park_delay_req_ = {delay_req_timer_.active(), delay_req_timer_.next_due_ns()};
-  park_announce_ = {announce_tx_.active(), announce_tx_.next_due_ns()};
-  park_bmca_ = {bmca_eval_.active(), bmca_eval_.next_due_ns()};
-  sync_check_.cancel();
-  delay_req_timer_.cancel();
-  announce_tx_.cancel();
-  bmca_eval_.cancel();
+  park_sync_check_.park(sync_check_);
+  park_delay_req_.park(delay_req_timer_);
+  park_announce_.park(announce_tx_);
+  park_bmca_.park(bmca_eval_);
   ++epoch_; // kills the sync-chain hop and any in-flight tx callbacks
 }
 
@@ -621,29 +543,9 @@ void PtpInstance::ff_advance(const sim::FfWindow& w) {
 
 void PtpInstance::ff_resume() {
   if (!running_) return;
-  const auto rearm = [this](const ParkedPeriodic& p, std::int64_t period,
-                            std::function<void(sim::SimTime)> fn) {
-    if (!p.running) return sim::Simulation::PeriodicHandle{};
-    return sim_.every(
-        sim::SimTime{sim::align_phase(p.due_ns, period, sim_.now().ns())}, period,
-        std::move(fn));
-  };
   // Masters recompute the next launch boundary from the (analytically
   // advanced) PHC -- the sync grid is PHC-aligned, not sim-time-aligned.
-  if (role_ == PortRole::kMaster && !cfg_.use_bmca) schedule_next_sync_tx();
-  sync_check_ = rearm(park_sync_check_, cfg_.sync_interval_ns,
-                      [this](sim::SimTime t) { check_sync_receipt(t); });
-  delay_req_timer_ = rearm(park_delay_req_, cfg_.delay_req_interval_ns,
-                           [this](sim::SimTime) { send_delay_req(); });
-  announce_tx_ = rearm(park_announce_, cfg_.announce_interval_ns,
-                       [this](sim::SimTime) { send_announce(); });
-  bmca_eval_ = rearm(park_bmca_, cfg_.announce_interval_ns,
-                     [this](sim::SimTime) { evaluate_bmca(); });
-  if (role_ == PortRole::kMaster && cfg_.use_bmca) schedule_next_sync_tx();
-  park_sync_check_ = {};
-  park_delay_req_ = {};
-  park_announce_ = {};
-  park_bmca_ = {};
+  resume_timers([this] { schedule_next_sync_tx(); });
 }
 
 void PtpInstance::evaluate_bmca() {

@@ -24,6 +24,7 @@
 #include "gptp/msg_template.hpp"
 #include "gptp/servo.hpp"
 #include "net/nic.hpp"
+#include "sim/persist.hpp"
 #include "sim/simulation.hpp"
 
 namespace tsn::gptp {
@@ -120,8 +121,7 @@ class PtpInstance {
 
   // -- Snapshot / fast-forward support (driven by the owning stack; see
   //    sim/persist.hpp for the contract) -----------------------------------
-  void save_state(sim::StateWriter& w);
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   std::size_t live_events() const;
   void ff_park();
   void ff_advance(const sim::FfWindow& w);
@@ -146,6 +146,11 @@ class PtpInstance {
   /// them the oscillator integration segmentation -- are reproduced
   /// bit-exactly.
   void arm_sync_hop_at(std::int64_t due_ns);
+  /// Re-arm the parked periodic timers, calling `sync_hop` to re-create
+  /// the master's sync-chain hop before them (external port config) or
+  /// after them (BMCA) -- the order start() creates them in, so
+  /// same-timestamp firings keep their boot-time sequence order.
+  void resume_timers(const std::function<void()>& sync_hop);
   void prepare_sync_tx(std::int64_t launch_phc);
   void transmit_sync(std::int64_t launch_phc);
   void on_sync(const SyncMessage& msg, std::int64_t rx_ts);
@@ -220,12 +225,8 @@ class PtpInstance {
   sim::Simulation::PeriodicHandle bmca_eval_;
   std::uint16_t announce_seq_ = 0;
 
-  // Phases remembered across ff_park()/ff_resume().
-  struct ParkedPeriodic {
-    bool running = false;
-    std::int64_t due_ns = 0;
-  };
-  ParkedPeriodic park_sync_check_, park_delay_req_, park_announce_, park_bmca_;
+  // Phases of the four periodics across start-up, ff and snapshot restore.
+  sim::ParkedTimer park_sync_check_, park_delay_req_, park_announce_, park_bmca_;
 
   OffsetCallback offset_cb_;
   std::optional<PiServo> local_servo_;

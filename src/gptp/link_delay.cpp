@@ -1,6 +1,7 @@
 #include "gptp/link_delay.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "util/log.hpp"
 
@@ -47,8 +48,8 @@ LinkDelayService::LinkDelayService(sim::Simulation& sim, PortIdentity identity, 
 
 void LinkDelayService::start() {
   if (periodic_.active()) return;
-  periodic_ = sim_.every(sim_.now(), cfg_.pdelay_interval_ns,
-                         [this](sim::SimTime) { send_request(); });
+  parked_.park_at(sim_.now().ns());
+  ff_resume();
 }
 
 void LinkDelayService::stop() {
@@ -56,73 +57,45 @@ void LinkDelayService::stop() {
   exchange_open_ = false;
 }
 
-void LinkDelayService::save_state(sim::StateWriter& w) const {
-  w.b(periodic_.active());
-  w.i64(periodic_.next_due_ns());
-  w.u16(seq_);
-  w.opt_i64(t1_);
-  w.opt_i64(t2_);
-  w.opt_i64(t3_);
-  w.opt_i64(t4_);
-  w.b(exchange_open_);
-  w.i64(consecutive_misses_);
+template <class Ar>
+void LinkDelayService::persist(Ar& ar) {
+  parked_.persist(ar, periodic_);
+  ar.u16(seq_);
+  ar.opt_i64(t1_);
+  ar.opt_i64(t2_);
+  ar.opt_i64(t3_);
+  ar.opt_i64(t4_);
+  ar.b(exchange_open_);
+  ar.i64(consecutive_misses_);
   // Ring in logical (oldest-first) order so the byte image depends only on
-  // the retained samples, not on where the head happens to sit.
-  w.u64(nrr_count_);
+  // the retained samples, not on where the head happens to sit; a load
+  // re-bases the ring at slot 0.
+  ar.u64(nrr_count_);
+  if constexpr (Ar::kLoading) {
+    if (nrr_count_ > nrr_ring_.size()) {
+      throw std::runtime_error("LinkDelayService: archived ring exceeds nrr_window for " + name_);
+    }
+    nrr_head_ = 0;
+  }
   for (std::size_t i = 0; i < nrr_count_; ++i) {
-    const auto& [t3, t4] = nrr_ring_[(nrr_head_ + i) % nrr_ring_.size()];
-    w.i64(t3);
-    w.i64(t4);
+    auto& [t3, t4] = nrr_ring_[(nrr_head_ + i) % nrr_ring_.size()];
+    ar.i64(t3);
+    ar.i64(t4);
   }
-  w.b(atk_turnaround_);
-  w.f64(atk_t3_bias_ns_);
-  w.f64(atk_t3_skew_ppm_);
-  w.opt_i64(atk_t3_epoch_ns_);
-  w.b(valid_);
-  w.f64(mean_link_delay_ns_);
-  w.f64(raw_link_delay_ns_);
-  w.f64(neighbor_rate_ratio_);
-  w.u64(completed_);
+  ar.b(atk_turnaround_);
+  ar.f64(atk_t3_bias_ns_);
+  ar.f64(atk_t3_skew_ppm_);
+  ar.opt_i64(atk_t3_epoch_ns_);
+  ar.b(valid_);
+  ar.f64(mean_link_delay_ns_);
+  ar.f64(raw_link_delay_ns_);
+  ar.f64(neighbor_rate_ratio_);
+  ar.u64(completed_);
+  if constexpr (Ar::kLoading) ff_resume();
 }
+TSN_PERSIST_INSTANTIATE(LinkDelayService);
 
-void LinkDelayService::load_state(sim::StateReader& r) {
-  const bool running = r.b();
-  const std::int64_t due = r.i64();
-  seq_ = r.u16();
-  t1_ = r.opt_i64<std::int64_t>();
-  t2_ = r.opt_i64<std::int64_t>();
-  t3_ = r.opt_i64<std::int64_t>();
-  t4_ = r.opt_i64<std::int64_t>();
-  exchange_open_ = r.b();
-  consecutive_misses_ = static_cast<int>(r.i64());
-  nrr_count_ = r.u64();
-  nrr_head_ = 0;
-  for (std::size_t i = 0; i < nrr_count_; ++i) {
-    nrr_ring_[i].first = r.i64();
-    nrr_ring_[i].second = r.i64();
-  }
-  atk_turnaround_ = r.b();
-  atk_t3_bias_ns_ = r.f64();
-  atk_t3_skew_ppm_ = r.f64();
-  atk_t3_epoch_ns_ = r.opt_i64<std::int64_t>();
-  valid_ = r.b();
-  mean_link_delay_ns_ = r.f64();
-  raw_link_delay_ns_ = r.f64();
-  neighbor_rate_ratio_ = r.f64();
-  completed_ = r.u64();
-  periodic_ = {};
-  if (running) {
-    periodic_ = sim_.every(
-        sim::SimTime{sim::align_phase(due, cfg_.pdelay_interval_ns, sim_.now().ns())},
-        cfg_.pdelay_interval_ns, [this](sim::SimTime) { send_request(); });
-  }
-}
-
-void LinkDelayService::ff_park() {
-  parked_running_ = periodic_.active();
-  park_due_ns_ = periodic_.next_due_ns();
-  periodic_.cancel();
-}
+void LinkDelayService::ff_park() { parked_.park(periodic_); }
 
 void LinkDelayService::ff_advance(const sim::FfWindow&) {
   // The retained (t3, t4) pairs straddle the analytic jump, which pulls
@@ -134,11 +107,8 @@ void LinkDelayService::ff_advance(const sim::FfWindow&) {
 }
 
 void LinkDelayService::ff_resume() {
-  if (!parked_running_) return;
-  parked_running_ = false;
-  periodic_ = sim_.every(
-      sim::SimTime{sim::align_phase(park_due_ns_, cfg_.pdelay_interval_ns, sim_.now().ns())},
-      cfg_.pdelay_interval_ns, [this](sim::SimTime) { send_request(); });
+  parked_.resume(sim_, periodic_, cfg_.pdelay_interval_ns,
+                 [this](sim::SimTime) { send_request(); });
 }
 
 void LinkDelayService::send_request() {

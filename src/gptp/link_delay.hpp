@@ -69,8 +69,7 @@ class LinkDelayService {
 
   // -- Snapshot / fast-forward support (driven by the owning stack/bridge,
   //    which is the Persistent; see sim/persist.hpp) ------------------------
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   std::size_t live_events() const { return periodic_.active() ? 1 : 0; }
   void ff_park();
   void ff_advance(const sim::FfWindow& w);
@@ -131,9 +130,7 @@ class LinkDelayService {
   double neighbor_rate_ratio_ = 1.0;
   std::uint64_t completed_ = 0;
 
-  // Phase remembered across ff_park()/ff_resume().
-  bool parked_running_ = false;
-  std::int64_t park_due_ns_ = 0;
+  sim::ParkedTimer parked_;
 };
 
 } // namespace tsn::gptp

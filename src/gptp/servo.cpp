@@ -22,21 +22,15 @@ void PiServo::reset() {
   // static drift from scratch. Call set_integral_ppb(0) for a cold reset.
 }
 
-void PiServo::save_state(sim::StateWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.i64(sample_count_);
-  w.i64(first_offset_);
-  w.i64(first_ts_);
-  w.f64(integral_ppb_);
+template <class Ar>
+void PiServo::persist(Ar& ar) {
+  ar.u8(state_);
+  ar.i64(sample_count_);
+  ar.i64(first_offset_);
+  ar.i64(first_ts_);
+  ar.f64(integral_ppb_);
 }
-
-void PiServo::load_state(sim::StateReader& r) {
-  state_ = static_cast<State>(r.u8());
-  sample_count_ = static_cast<int>(r.i64());
-  first_offset_ = r.i64();
-  first_ts_ = r.i64();
-  integral_ppb_ = r.f64();
-}
+TSN_PERSIST_INSTANTIATE(PiServo);
 
 void PiServo::attach_obs(obs::ObsContext ctx, const std::string& name) {
   if (ctx.metrics) {

@@ -12,11 +12,6 @@
 
 #include "obs/obs.hpp"
 
-namespace tsn::sim {
-class StateWriter;
-class StateReader;
-} // namespace tsn::sim
-
 namespace tsn::gptp {
 
 struct PiServoConfig {
@@ -64,8 +59,7 @@ class PiServo {
 
   /// Snapshot support: discipline state only (obs attachments are not
   /// persisted -- re-attach after restoring into a fresh servo).
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
 
   /// Attach observability under `name` (e.g. "c11/fta.servo"): counts
   /// samples, phase jumps and runaway unlock-resets in `<name>.*` and

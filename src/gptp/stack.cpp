@@ -1,5 +1,6 @@
 #include "gptp/stack.hpp"
 
+#include "sim/persist.hpp"
 #include "util/log.hpp"
 #include "util/str.hpp"
 
@@ -54,19 +55,14 @@ void PtpStack::stop() {
   for (auto& inst : instances_) inst->stop();
 }
 
-void PtpStack::save_state(sim::StateWriter& w) {
-  w.b(started_);
-  w.u64(malformed_);
-  link_delay_.save_state(w);
-  for (auto& inst : instances_) inst->save_state(w);
+template <class Ar>
+void PtpStack::persist(Ar& ar) {
+  ar.b(started_);
+  ar.u64(malformed_);
+  link_delay_.persist(ar);
+  for (auto& inst : instances_) inst->persist(ar);
 }
-
-void PtpStack::load_state(sim::StateReader& r) {
-  started_ = r.b();
-  malformed_ = r.u64();
-  link_delay_.load_state(r);
-  for (auto& inst : instances_) inst->load_state(r);
-}
+TSN_PERSIST_INSTANTIATE(PtpStack);
 
 std::size_t PtpStack::live_events() const {
   std::size_t n = link_delay_.live_events();

@@ -42,8 +42,7 @@ class PtpStack {
 
   // -- Snapshot / fast-forward support (aggregates the link-delay service
   //    and every domain instance; driven by the owning VM) -----------------
-  void save_state(sim::StateWriter& w);
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   std::size_t live_events() const;
   void ff_park();
   void ff_advance(const sim::FfWindow& w);

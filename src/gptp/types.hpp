@@ -19,6 +19,14 @@ class ClockIdentity {
   std::uint64_t to_u64() const;
   std::string to_string() const;
 
+  /// Snapshot archive image: the identity as one u64 (sim/persist.hpp).
+  template <class Ar>
+  void persist(Ar& ar) {
+    std::uint64_t v = to_u64();
+    ar.u64(v);
+    if constexpr (Ar::kLoading) *this = from_u64(v);
+  }
+
   friend constexpr auto operator<=>(const ClockIdentity&, const ClockIdentity&) = default;
 
  private:
@@ -31,6 +39,11 @@ struct PortIdentity {
 
   friend constexpr auto operator<=>(const PortIdentity&, const PortIdentity&) = default;
   std::string to_string() const;
+  template <class Ar>
+  void persist(Ar& ar) {
+    clock.persist(ar);
+    ar.u16(port);
+  }
 };
 
 /// PTP timestamp: 48-bit seconds + 32-bit nanoseconds.

@@ -88,7 +88,6 @@ void ClockSyncVm::boot(bool first_boot) {
 void ClockSyncVm::shutdown() {
   if (!running_) return;
   TSN_LOG_DEBUG("hv", "%s: fail-silent shutdown", cfg_.name.c_str());
-  running_ = false;
   // Preserve application-fault totals across the reboot.
   if (stack_) {
     for (const auto& inst : stack_->instances()) {
@@ -96,6 +95,11 @@ void ClockSyncVm::shutdown() {
       past_deadline_misses_ += inst->counters().deadline_misses;
     }
   }
+  tear_down();
+}
+
+void ClockSyncVm::tear_down() {
+  running_ = false;
   updater_->stop();
   if (stack_) stack_->stop();
   nic_.set_up(false);
@@ -123,53 +127,36 @@ void ClockSyncVm::compromise(std::int64_t malicious_pot_offset_ns) {
   }
 }
 
-void ClockSyncVm::save_state(sim::StateWriter& w) {
-  w.b(running_);
-  w.i64(malicious_pot_offset_ns_);
-  w.str(kernel_version_);
-  w.u64(past_tx_timeouts_);
-  w.u64(past_deadline_misses_);
-  w.b(cfg_.coordinator.skip_startup); // boot(!first) mutates this
-  nic_.phc().save_state(w);
-  updater_->save_state(w);
+template <class Ar>
+void ClockSyncVm::persist(Ar& ar) {
+  bool was_running = running_;
+  ar.b(was_running);
+  ar.i64(malicious_pot_offset_ns_);
+  ar.str(kernel_version_);
+  ar.u64(past_tx_timeouts_);
+  ar.u64(past_deadline_misses_);
+  ar.b(cfg_.coordinator.skip_startup); // boot(!first) mutates this
+  if constexpr (Ar::kLoading) {
+    // Reconcile the boot state before restoring component state into it.
+    if (was_running && !running_) {
+      running_ = true;
+      nic_.set_up(true);
+      build_stack();
+    } else if (!was_running && running_) {
+      // Not shutdown(): it would fold live counters into the `past_`
+      // totals just restored.
+      tear_down();
+    }
+  }
+  nic_.phc().persist(ar);
+  updater_->persist(ar);
   if (running_) {
-    if (ft_shmem_) ft_shmem_->save_state(w);
-    if (coordinator_) coordinator_->save_state(w);
-    stack_->save_state(w);
+    if (ft_shmem_) ft_shmem_->persist(ar);
+    if (coordinator_) coordinator_->persist(ar);
+    stack_->persist(ar);
   }
 }
-
-void ClockSyncVm::load_state(sim::StateReader& r) {
-  const bool was_running = r.b();
-  malicious_pot_offset_ns_ = r.i64();
-  kernel_version_ = r.str();
-  past_tx_timeouts_ = r.u64();
-  past_deadline_misses_ = r.u64();
-  cfg_.coordinator.skip_startup = r.b();
-  // Reconcile the boot state before restoring component state into it.
-  if (was_running && !running_) {
-    running_ = true;
-    nic_.set_up(true);
-    build_stack();
-  } else if (!was_running && running_) {
-    // Manual teardown: shutdown() would fold live counters into the
-    // `past_` totals we just restored.
-    running_ = false;
-    updater_->stop();
-    if (stack_) stack_->stop();
-    nic_.set_up(false);
-    stack_.reset();
-    coordinator_.reset();
-    ft_shmem_.reset();
-  }
-  nic_.phc().load_state(r);
-  updater_->load_state(r);
-  if (running_) {
-    if (ft_shmem_) ft_shmem_->load_state(r);
-    if (coordinator_) coordinator_->load_state(r);
-    stack_->load_state(r);
-  }
-}
+TSN_PERSIST_INSTANTIATE(ClockSyncVm);
 
 std::size_t ClockSyncVm::live_events() const {
   std::size_t n = updater_->live_events();

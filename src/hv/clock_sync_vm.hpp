@@ -24,8 +24,6 @@
 #include "sim/simulation.hpp"
 
 namespace tsn::sim {
-class StateWriter;
-class StateReader;
 struct FfWindow;
 } // namespace tsn::sim
 
@@ -102,13 +100,12 @@ class ClockSyncVm {
   std::uint64_t total_deadline_misses() const;
 
   // -- Snapshot / fast-forward support -------------------------------------
-  // save_state captures the NIC PHC plus the whole software stack; load
-  // reconciles the boot state first (building or tearing down the stack to
-  // match the snapshot) and then restores into the live components. The
+  // Captures the NIC PHC plus the whole software stack; a load reconciles
+  // the boot state first (building or tearing down the stack to match the
+  // snapshot) and then restores into the live components. The
   // externally-owned fault model is config, not state: the harness that
   // drives faults re-applies it after a restore.
-  void save_state(sim::StateWriter& w);
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   std::size_t live_events() const;
   void ff_park();
   void ff_advance(const sim::FfWindow& w);
@@ -116,6 +113,8 @@ class ClockSyncVm {
 
  private:
   void build_stack();
+  /// Stop and destroy the software stack (no counter folding).
+  void tear_down();
 
   sim::Simulation& sim_;
   StShmem& st_shmem_;

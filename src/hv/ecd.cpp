@@ -24,19 +24,14 @@ void Ecd::start() {
   monitor_.start();
 }
 
-void Ecd::save_state(sim::StateWriter& w) {
-  tsc_.save_state(w);
-  st_shmem_.save_state(w);
-  for (auto& vm : vms_) vm->save_state(w);
-  monitor_.save_state(w);
+template <class Ar>
+void Ecd::persist(Ar& ar) {
+  tsc_.persist(ar);
+  st_shmem_.persist(ar);
+  for (auto& vm : vms_) vm->persist(ar);
+  monitor_.persist(ar);
 }
-
-void Ecd::load_state(sim::StateReader& r) {
-  tsc_.load_state(r);
-  st_shmem_.load_state(r);
-  for (auto& vm : vms_) vm->load_state(r);
-  monitor_.load_state(r);
-}
+TSN_PERSIST_INSTANTIATE(Ecd);
 
 std::size_t Ecd::live_events() const {
   std::size_t n = monitor_.live_events();

@@ -57,14 +57,16 @@ class Ecd : public sim::Persistent {
   // mirrors boot order (VMs in index order, then the monitor) so the
   // re-armed chains keep their relative event ordering.
   const char* persist_name() const override { return cfg_.name.c_str(); }
-  void save_state(sim::StateWriter& w) override;
-  void load_state(sim::StateReader& r) override;
+  void save_state(sim::StateWriter& w) override { persist(w); }
+  void load_state(sim::StateReader& r) override { persist(r); }
   std::size_t live_events() const override;
   void ff_park() override;
   void ff_advance(const sim::FfWindow& w) override;
   void ff_resume() override;
 
  private:
+  template <class Ar> void persist(Ar& ar);
+
   sim::Simulation& sim_;
   EcdConfig cfg_;
   obs::ObsContext obs_;

@@ -61,50 +61,37 @@ void HvMonitor::start() {
   failed_.assign(vms_.size(), false);
   voted_out_.assign(vms_.size(), false);
   no_successor_latched_ = false;
-  periodic_ = sim_.every(sim_.now() + cfg_.period_ns, cfg_.period_ns,
-                         [this](sim::SimTime) { check(); });
+  parked_.park_at(sim_.now().ns() + cfg_.period_ns);
+  ff_resume();
 }
 
 void HvMonitor::stop() { periodic_.cancel(); }
 
-void HvMonitor::save_state(sim::StateWriter& w) const {
-  w.b(periodic_.active());
-  w.i64(periodic_.next_due_ns());
-  w.u64(failed_.size());
-  for (const bool f : failed_) w.b(f);
-  for (const bool v : voted_out_) w.b(v);
-  w.b(no_successor_latched_);
-}
-
-void HvMonitor::load_state(sim::StateReader& r) {
-  const bool active = r.b();
-  const std::int64_t due = r.i64();
-  const std::uint64_t n = r.u64();
-  failed_.assign(n, false);
-  for (std::uint64_t i = 0; i < n; ++i) failed_[i] = r.b();
-  voted_out_.assign(n, false);
-  for (std::uint64_t i = 0; i < n; ++i) voted_out_[i] = r.b();
-  no_successor_latched_ = r.b();
-  periodic_ = {};
-  if (active) {
-    periodic_ = sim_.every(
-        sim::SimTime{sim::align_phase(due, cfg_.period_ns, sim_.now().ns())},
-        cfg_.period_ns, [this](sim::SimTime) { check(); });
+template <class Ar>
+void HvMonitor::persist(Ar& ar) {
+  parked_.persist(ar, periodic_);
+  std::uint64_t n = failed_.size();
+  ar.u64(n);
+  if constexpr (Ar::kLoading) {
+    // check() indexes the flags by VM; a monitor that never started
+    // archives none.
+    if (n != 0 && n != vms_.size()) {
+      throw std::runtime_error("HvMonitor: archived VM count does not match " + name_);
+    }
+    failed_.assign(n, false);
+    voted_out_.assign(n, false);
   }
+  ar.bits(failed_);
+  ar.bits(voted_out_);
+  ar.b(no_successor_latched_);
+  if constexpr (Ar::kLoading) ff_resume();
 }
+TSN_PERSIST_INSTANTIATE(HvMonitor);
 
-void HvMonitor::ff_park() {
-  parked_running_ = periodic_.active();
-  park_due_ns_ = periodic_.next_due_ns();
-  periodic_.cancel();
-}
+void HvMonitor::ff_park() { parked_.park(periodic_); }
 
 void HvMonitor::ff_resume() {
-  if (!parked_running_) return;
-  parked_running_ = false;
-  periodic_ = sim_.every(
-      sim::SimTime{sim::align_phase(park_due_ns_, cfg_.period_ns, sim_.now().ns())},
-      cfg_.period_ns, [this](sim::SimTime) { check(); });
+  parked_.resume(sim_, periodic_, cfg_.period_ns, [this](sim::SimTime) { check(); });
 }
 
 void HvMonitor::check() {

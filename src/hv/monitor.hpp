@@ -22,14 +22,9 @@
 #include "hv/clock_sync_vm.hpp"
 #include "hv/st_shmem.hpp"
 #include "obs/obs.hpp"
+#include "sim/persist.hpp"
 #include "sim/simulation.hpp"
 #include "tsn_time/phc_clock.hpp"
-
-namespace tsn::sim {
-class StateWriter;
-class StateReader;
-struct FfWindow;
-} // namespace tsn::sim
 
 namespace tsn::hv {
 
@@ -105,8 +100,7 @@ class HvMonitor {
   // state). Heartbeat ages stay consistent across a window because the
   // updaters re-stamp in their own ff_advance, which runs before this
   // monitor's first post-resume poll (registration order = boot order).
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   std::size_t live_events() const { return periodic_.active() ? 1u : 0u; }
   void ff_park();
   void ff_advance(const sim::FfWindow&) {}
@@ -136,9 +130,7 @@ class HvMonitor {
   bool no_successor_latched_ = false;
   sim::Simulation::PeriodicHandle periodic_;
 
-  // Fast-forward park state.
-  bool parked_running_ = false;
-  std::int64_t park_due_ns_ = 0;
+  sim::ParkedTimer parked_;
 
   /// Owned fallback so stats() works when no shared registry is wired in.
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;

@@ -9,41 +9,28 @@ namespace tsn::hv {
 
 namespace {
 
-void save_params(sim::StateWriter& w, const SyncTimeParams& p) {
-  w.i64(p.base_tsc);
-  w.i64(p.base_sync);
-  w.f64(p.rate);
-  w.u32(p.generation);
-  w.b(p.valid);
-}
-
-SyncTimeParams load_params(sim::StateReader& r) {
-  SyncTimeParams p;
-  p.base_tsc = r.i64();
-  p.base_sync = r.i64();
-  p.rate = r.f64();
-  p.generation = r.u32();
-  p.valid = r.b();
-  return p;
+template <class Ar>
+void persist_params(Ar& ar, core::SeqLock<SyncTimeParams>& slot) {
+  SyncTimeParams p = Ar::kLoading ? SyncTimeParams{} : slot.load();
+  ar.i64(p.base_tsc);
+  ar.i64(p.base_sync);
+  ar.f64(p.rate);
+  ar.u32(p.generation);
+  ar.b(p.valid);
+  if constexpr (Ar::kLoading) slot.store(p);
 }
 
 } // namespace
 
-void StShmem::save_state(sim::StateWriter& w) const {
-  save_params(w, params_.load());
-  for (const auto& c : candidates_) save_params(w, c.load());
-  for (const auto& h : heartbeats_) w.i64(h.load(std::memory_order_acquire));
-  w.u64(active_vm_.load(std::memory_order_acquire));
-  w.u32(generation_.load(std::memory_order_acquire));
+template <class Ar>
+void StShmem::persist(Ar& ar) {
+  persist_params(ar, params_);
+  for (auto& c : candidates_) persist_params(ar, c);
+  for (auto& h : heartbeats_) ar.i64(h);
+  ar.u64(active_vm_);
+  ar.u32(generation_);
 }
-
-void StShmem::load_state(sim::StateReader& r) {
-  params_.store(load_params(r));
-  for (auto& c : candidates_) c.store(load_params(r));
-  for (auto& h : heartbeats_) h.store(r.i64(), std::memory_order_release);
-  active_vm_.store(r.u64(), std::memory_order_release);
-  generation_.store(r.u32(), std::memory_order_release);
-}
+TSN_PERSIST_INSTANTIATE(StShmem);
 
 std::optional<std::int64_t> read_synctime(const StShmem& shmem, std::int64_t tsc_now) {
   const SyncTimeParams p = shmem.read_params();

@@ -15,11 +15,6 @@
 
 #include "core/seqlock.hpp"
 
-namespace tsn::sim {
-class StateWriter;
-class StateReader;
-} // namespace tsn::sim
-
 namespace tsn::hv {
 
 inline constexpr std::size_t kMaxClockSyncVms = 4;
@@ -79,8 +74,7 @@ class StShmem {
   // params + heartbeat in its own ff_advance before the monitor's first
   // post-resume poll. Down VMs' heartbeats stay stale, which is exactly the
   // classification the monitor should see after the jump.
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
 
  private:
   core::SeqLock<SyncTimeParams> params_;

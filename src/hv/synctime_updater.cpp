@@ -28,7 +28,8 @@ void SyncTimeUpdater::start(std::size_t vm_index) {
   servo_ = gptp::PiServo(cfg_.servo);
   // The assignment above wiped the servo's obs handles; re-attach.
   if (obs_) servo_.attach_obs(obs_, name_ + ".servo");
-  periodic_ = sim_.every(sim_.now(), cfg_.period_ns, [this](sim::SimTime) { tick(); });
+  parked_.park_at(sim_.now().ns());
+  ff_resume();
 }
 
 void SyncTimeUpdater::stop() {
@@ -110,60 +111,32 @@ void SyncTimeUpdater::tick_feed_forward(std::int64_t tsc, std::int64_t phc) {
   publish(tsc, phc, rate_);
 }
 
-void SyncTimeUpdater::save_state(sim::StateWriter& w) const {
-  w.b(periodic_.active());
-  w.i64(periodic_.next_due_ns());
-  w.u64(vm_index_);
-  w.b(running_);
-  w.b(publishing_);
-  servo_.save_state(w);
-  w.b(virt_initialized_);
-  w.ld(virt_value_);
-  w.i64(last_tsc_);
-  w.f64(rate_);
-  w.f64(last_error_ns_);
-  w.b(ff_anchor_.has_value());
-  w.i64(ff_anchor_ ? ff_anchor_->first : 0);
-  w.i64(ff_anchor_ ? ff_anchor_->second : 0);
-  w.i64(ff_count_);
-  w.i64(corruption_ns_);
-  w.f64(rate_corruption_);
-  w.u64(publications_);
+template <class Ar>
+void SyncTimeUpdater::persist(Ar& ar) {
+  parked_.persist(ar, periodic_);
+  ar.u64(vm_index_);
+  ar.b(running_);
+  ar.b(publishing_);
+  servo_.persist(ar);
+  ar.b(virt_initialized_);
+  ar.ld(virt_value_);
+  ar.i64(last_tsc_);
+  ar.f64(rate_);
+  ar.f64(last_error_ns_);
+  ar.opt(ff_anchor_, [&ar](auto& a) {
+    ar.i64(a.first);
+    ar.i64(a.second);
+  });
+  ar.i64(ff_count_);
+  ar.i64(corruption_ns_);
+  ar.f64(rate_corruption_);
+  ar.u64(publications_);
+  if constexpr (Ar::kLoading) ff_resume();
 }
-
-void SyncTimeUpdater::load_state(sim::StateReader& r) {
-  const bool active = r.b();
-  const std::int64_t due = r.i64();
-  vm_index_ = r.u64();
-  running_ = r.b();
-  publishing_ = r.b();
-  servo_.load_state(r);
-  virt_initialized_ = r.b();
-  virt_value_ = r.ld();
-  last_tsc_ = r.i64();
-  rate_ = r.f64();
-  last_error_ns_ = r.f64();
-  const bool have_anchor = r.b();
-  const std::int64_t anchor_tsc = r.i64();
-  const std::int64_t anchor_phc = r.i64();
-  ff_anchor_.reset();
-  if (have_anchor) ff_anchor_ = {anchor_tsc, anchor_phc};
-  ff_count_ = static_cast<int>(r.i64());
-  corruption_ns_ = r.i64();
-  rate_corruption_ = r.f64();
-  publications_ = r.u64();
-  periodic_ = {};
-  if (active) {
-    periodic_ = sim_.every(
-        sim::SimTime{sim::align_phase(due, cfg_.period_ns, sim_.now().ns())},
-        cfg_.period_ns, [this](sim::SimTime) { tick(); });
-  }
-}
+TSN_PERSIST_INSTANTIATE(SyncTimeUpdater);
 
 void SyncTimeUpdater::ff_park() {
-  parked_running_ = periodic_.active();
-  park_due_ns_ = periodic_.next_due_ns();
-  periodic_.cancel();
+  parked_.park(periodic_);
   if (!virt_initialized_) {
     park_residual_ = 0.0L;
     return;
@@ -204,11 +177,7 @@ void SyncTimeUpdater::ff_advance(const sim::FfWindow&) {
 }
 
 void SyncTimeUpdater::ff_resume() {
-  if (!parked_running_) return;
-  parked_running_ = false;
-  periodic_ = sim_.every(
-      sim::SimTime{sim::align_phase(park_due_ns_, cfg_.period_ns, sim_.now().ns())},
-      cfg_.period_ns, [this](sim::SimTime) { tick(); });
+  parked_.resume(sim_, periodic_, cfg_.period_ns, [this](sim::SimTime) { tick(); });
 }
 
 void SyncTimeUpdater::publish(std::int64_t base_tsc, std::int64_t base_sync, double rate) {

@@ -21,14 +21,9 @@
 #include "gptp/servo.hpp"
 #include "hv/st_shmem.hpp"
 #include "obs/obs.hpp"
+#include "sim/persist.hpp"
 #include "sim/simulation.hpp"
 #include "tsn_time/phc_clock.hpp"
-
-namespace tsn::sim {
-class StateWriter;
-class StateReader;
-struct FfWindow;
-} // namespace tsn::sim
 
 namespace tsn::hv {
 
@@ -80,8 +75,7 @@ class SyncTimeUpdater {
   double last_error_ns() const { return last_error_ns_; }
 
   // -- Snapshot / fast-forward support -------------------------------------
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
   std::size_t live_events() const { return periodic_.active() ? 1u : 0u; }
   void ff_park();
   /// Re-anchor the virtual clock on the analytically advanced PHC (keeping
@@ -126,8 +120,7 @@ class SyncTimeUpdater {
   obs::ObsContext obs_;
 
   // Fast-forward park state.
-  bool parked_running_ = false;
-  std::int64_t park_due_ns_ = 0;
+  sim::ParkedTimer parked_;
   long double park_residual_ = 0.0L; ///< virt_value_ - PHC at park
 };
 

@@ -83,8 +83,8 @@ void PrecisionProbe::add_receiver(const Receiver& r, std::size_t region) {
 
 void PrecisionProbe::start() {
   if (periodic_.active()) return;
-  periodic_ = sim_.every(sim_.now() + cfg_.period_ns, cfg_.period_ns,
-                         [this](sim::SimTime) { send_probe(); });
+  parked_.park_at(sim_.now().ns() + cfg_.period_ns);
+  ff_resume();
 }
 
 void PrecisionProbe::stop() { periodic_.cancel(); }
@@ -102,83 +102,36 @@ void PrecisionProbe::send_probe() {
   sim_.after(cfg_.collect_delay_ns, [this, seq] { evaluate(seq); });
 }
 
-void PrecisionProbe::save_state(sim::StateWriter& w) {
-  w.b(periodic_.active());
-  w.i64(periodic_.next_due_ns());
-  w.u32(seq_);
-  w.u64(measured_);
-  w.u64(skipped_);
-  w.rng(ts_jitter_rng_);
-  w.u64(rx_rngs_.size());
-  for (util::RngStream& rng : rx_rngs_) w.rng(rng);
-  // pending_ is empty at any component-quiescent instant (the in-flight
-  // evaluate event blocks the gate), but persist it anyway so the format
-  // does not silently depend on that invariant.
-  w.u64(pending_.size());
-  for (const auto& [seq, stamps] : pending_) {
-    w.u32(seq);
-    w.u64(stamps.size());
-    for (double s : stamps) w.f64(s);
-  }
-  const auto& pts = series_.points();
-  w.u64(pts.size());
-  for (const auto& p : pts) {
-    w.i64(p.t_ns);
-    w.f64(p.value);
-  }
-}
-
-void PrecisionProbe::load_state(sim::StateReader& r) {
-  const bool was_active = r.b();
-  const std::int64_t due = r.i64();
-  seq_ = r.u32();
-  measured_ = r.u64();
-  skipped_ = r.u64();
-  r.rng(ts_jitter_rng_);
-  const std::uint64_t n_rx = r.u64();
+template <class Ar>
+void PrecisionProbe::persist(Ar& ar) {
+  parked_.persist(ar, periodic_);
+  ar.u32(seq_);
+  ar.u64(measured_);
+  ar.u64(skipped_);
+  ar.rng(ts_jitter_rng_);
+  std::uint64_t n_rx = rx_rngs_.size();
+  ar.u64(n_rx);
   if (n_rx != rx_rngs_.size()) {
     throw std::runtime_error("PrecisionProbe::load_state: receiver-stream count mismatch for " +
                              name_);
   }
-  for (util::RngStream& rng : rx_rngs_) r.rng(rng);
-  pending_.clear();
-  const std::uint64_t n_pending = r.u64();
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    const std::uint32_t seq = r.u32();
-    auto& stamps = pending_[seq];
-    const std::uint64_t n_stamps = r.u64();
-    stamps.reserve(n_stamps);
-    for (std::uint64_t j = 0; j < n_stamps; ++j) stamps.push_back(r.f64());
-  }
-  series_ = util::TimeSeries{};
-  const std::uint64_t n_pts = r.u64();
-  for (std::uint64_t i = 0; i < n_pts; ++i) {
-    const std::int64_t t = r.i64();
-    const double v = r.f64();
-    series_.add(t, v);
-  }
-  periodic_.cancel();
-  periodic_ = {};
-  if (was_active) {
-    periodic_ = sim_.every(
-        sim::SimTime{sim::align_phase(due, cfg_.period_ns, sim_.now().ns())}, cfg_.period_ns,
-        [this](sim::SimTime) { send_probe(); });
-  }
+  for (util::RngStream& rng : rx_rngs_) ar.rng(rng);
+  // pending_ is empty at any component-quiescent instant (the in-flight
+  // evaluate event blocks the gate), but persist it anyway so the format
+  // does not silently depend on that invariant.
+  ar.map(pending_, [&ar](auto& seq, std::vector<double>& stamps) {
+    ar.u32(seq);
+    ar.seq(stamps, [&ar](double& s) { ar.f64(s); });
+  });
+  series_.persist(ar);
+  if constexpr (Ar::kLoading) ff_resume();
 }
+TSN_PERSIST_INSTANTIATE(PrecisionProbe);
 
-void PrecisionProbe::ff_park() {
-  parked_running_ = periodic_.active();
-  if (!parked_running_) return;
-  park_due_ns_ = periodic_.next_due_ns();
-  periodic_.cancel();
-}
+void PrecisionProbe::ff_park() { parked_.park(periodic_); }
 
 void PrecisionProbe::ff_resume() {
-  if (!parked_running_) return;
-  parked_running_ = false;
-  periodic_ = sim_.every(
-      sim::SimTime{sim::align_phase(park_due_ns_, cfg_.period_ns, sim_.now().ns())},
-      cfg_.period_ns, [this](sim::SimTime) { send_probe(); });
+  parked_.resume(sim_, periodic_, cfg_.period_ns, [this](sim::SimTime) { send_probe(); });
 }
 
 void PrecisionProbe::evaluate(std::uint32_t seq) {

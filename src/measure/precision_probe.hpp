@@ -95,13 +95,14 @@ class PrecisionProbe : public sim::Persistent {
   // not influence the clocks), and the send periodic re-arms on its
   // pre-park phase grid.
   const char* persist_name() const override { return name_.c_str(); }
-  void save_state(sim::StateWriter& w) override;
-  void load_state(sim::StateReader& r) override;
+  void save_state(sim::StateWriter& w) override { persist(w); }
+  void load_state(sim::StateReader& r) override { persist(r); }
   std::size_t live_events() const override { return periodic_.active() ? 1 : 0; }
   void ff_park() override;
   void ff_resume() override;
 
  private:
+  template <class Ar> void persist(Ar& ar);
   void send_probe();
   void evaluate(std::uint32_t seq);
 
@@ -121,9 +122,7 @@ class PrecisionProbe : public sim::Persistent {
   std::uint64_t measured_ = 0;
   std::uint64_t skipped_ = 0;
 
-  // Fast-forward park state.
-  bool parked_running_ = false;
-  std::int64_t park_due_ns_ = 0;
+  sim::ParkedTimer parked_;
 };
 
 } // namespace tsn::measure

@@ -95,32 +95,23 @@ void Link::clear_delay_attack(bool from_a) {
   (from_a ? atk_ab_ : atk_ba_).active = false;
 }
 
-void Link::save_state(sim::StateWriter& w) {
-  w.rng(rng_);
-  w.b(rng_ba_.has_value());
-  if (rng_ba_) w.rng(*rng_ba_);
-  for (const DelayAttack* atk : {&atk_ab_, &atk_ba_}) {
-    w.b(atk->active);
-    w.i64(atk->bias_ns);
-    w.f64(atk->ramp_ns_per_s);
-    w.i64(atk->start_ns);
-  }
-}
-
-void Link::load_state(sim::StateReader& r) {
-  r.rng(rng_);
-  const bool has_ba = r.b();
+template <class Ar>
+void Link::persist(Ar& ar) {
+  ar.rng(rng_);
+  bool has_ba = rng_ba_.has_value();
+  ar.b(has_ba);
   if (has_ba != rng_ba_.has_value()) {
     throw std::runtime_error("Link::load_state: boundary topology mismatch for " + name_);
   }
-  if (rng_ba_) r.rng(*rng_ba_);
+  if (rng_ba_) ar.rng(*rng_ba_);
   for (DelayAttack* atk : {&atk_ab_, &atk_ba_}) {
-    atk->active = r.b();
-    atk->bias_ns = r.i64();
-    atk->ramp_ns_per_s = r.f64();
-    atk->start_ns = r.i64();
+    ar.b(atk->active);
+    ar.i64(atk->bias_ns);
+    ar.f64(atk->ramp_ns_per_s);
+    ar.i64(atk->start_ns);
   }
 }
+TSN_PERSIST_INSTANTIATE(Link);
 
 std::int64_t Link::min_delay_ns(bool from_a) const {
   const DelayModel& m = from_a ? cfg_.a_to_b : cfg_.b_to_a;

@@ -101,10 +101,11 @@ class Link : public sim::Persistent {
   // deliveries are queue transients excluded by the quiescence gate; no
   // standing events, so the ff hooks keep their no-op defaults.
   const char* persist_name() const override { return name_.c_str(); }
-  void save_state(sim::StateWriter& w) override;
-  void load_state(sim::StateReader& r) override;
+  void save_state(sim::StateWriter& w) override { persist(w); }
+  void load_state(sim::StateReader& r) override { persist(r); }
 
  private:
+  template <class Ar> void persist(Ar& ar);
   Link(sim::PartitionRuntime& rt, std::size_t region_a, Port& end_a,
        std::size_t region_b, Port& end_b, const LinkConfig& cfg,
        const std::string& name);

@@ -48,15 +48,12 @@ bool Switch::is_member(std::uint16_t vid, std::size_t port_idx) const {
   return it != vlan_members_.end() && it->second.count(port_idx) > 0;
 }
 
-void Switch::save_state(sim::StateWriter& w) {
-  phc_.save_state(w);
-  w.rng(residence_rng_);
+template <class Ar>
+void Switch::persist(Ar& ar) {
+  phc_.persist(ar);
+  ar.rng(residence_rng_);
 }
-
-void Switch::load_state(sim::StateReader& r) {
-  phc_.load_state(r);
-  r.rng(residence_rng_);
-}
+TSN_PERSIST_INSTANTIATE(Switch);
 
 std::int64_t Switch::draw_residence_ns() {
   const double jitter = residence_rng_.normal(0.0, cfg_.residence_jitter_ns);

@@ -78,10 +78,11 @@ class Switch : public FrameSink, public sim::Persistent {
   // that the quiescence gate excludes. No standing events, so the ff hooks
   // keep their no-op defaults.
   const char* persist_name() const override { return name_.c_str(); }
-  void save_state(sim::StateWriter& w) override;
-  void load_state(sim::StateReader& r) override;
+  void save_state(sim::StateWriter& w) override { persist(w); }
+  void load_state(sim::StateReader& r) override { persist(r); }
 
  private:
+  template <class Ar> void persist(Ar& ar);
   std::size_t index_of(const Port& p) const;
   bool is_member(std::uint16_t vid, std::size_t port_idx) const;
   void forward(std::size_t ingress_idx, const FrameRef& frame);

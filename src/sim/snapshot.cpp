@@ -21,8 +21,10 @@ SimSnapshot take_snapshot(const Simulation& sim,
                           const std::vector<Persistent*>& targets) {
   StateWriter w;
   w.begin_section("sim");
-  w.i64(sim.now().ns());
-  w.u64(targets.size());
+  const std::int64_t now_ns = sim.now().ns();
+  const std::uint64_t count = targets.size();
+  w.i64(now_ns);
+  w.u64(count);
   for (Persistent* p : targets) {
     w.begin_section(p->persist_name());
     p->save_state(w);
@@ -42,10 +44,14 @@ void restore_snapshot(Simulation& sim,
   sim.restore_now(SimTime{snap.now_ns});
   StateReader r(snap.bytes);
   r.begin_section("sim");
-  if (r.i64() != snap.now_ns) {
+  std::int64_t now_ns = 0;
+  std::uint64_t count = 0;
+  r.i64(now_ns);
+  r.u64(count);
+  if (now_ns != snap.now_ns) {
     throw std::runtime_error("SimSnapshot: header time does not match snapshot");
   }
-  if (r.u64() != targets.size()) {
+  if (count != targets.size()) {
     throw std::runtime_error("SimSnapshot: component count changed since capture");
   }
   for (Persistent* p : targets) {

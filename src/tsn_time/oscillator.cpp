@@ -34,19 +34,20 @@ long double Oscillator::integrate_segment(std::int64_t dt_ns) const {
 
 void Oscillator::wander_step() { drift_.step(rng_); }
 
-void Oscillator::save_state(sim::StateWriter& w) const {
-  w.f64(drift_.value());
-  w.rng(rng_);
-  w.i64(last_.ns());
-  w.i64(next_wander_at_ns_);
+template <class Ar>
+void Oscillator::persist(Ar& ar) {
+  double drift = drift_.value();
+  std::int64_t last_ns = last_.ns();
+  ar.f64(drift);
+  ar.rng(rng_);
+  ar.i64(last_ns);
+  ar.i64(next_wander_at_ns_);
+  if constexpr (Ar::kLoading) {
+    drift_.set_value(drift);
+    last_ = sim::SimTime{last_ns};
+  }
 }
-
-void Oscillator::load_state(sim::StateReader& r) {
-  drift_.set_value(r.f64());
-  r.rng(rng_);
-  last_ = sim::SimTime{r.i64()};
-  next_wander_at_ns_ = r.i64();
-}
+TSN_PERSIST_INSTANTIATE(Oscillator);
 
 double Oscillator::fold_drift(double v) const {
   const double b = model_.max_drift_ppm;

@@ -15,11 +15,6 @@
 #include "sim/sim_time.hpp"
 #include "util/rng.hpp"
 
-namespace tsn::sim {
-class StateWriter;
-class StateReader;
-} // namespace tsn::sim
-
 namespace tsn::time {
 
 struct OscillatorModel {
@@ -57,8 +52,7 @@ class Oscillator {
   sim::SimTime last_advanced() const { return last_; }
 
   /// Snapshot support: walk position, RNG engine and integration cursor.
-  void save_state(sim::StateWriter& w) const;
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
 
  private:
   long double integrate_segment(std::int64_t dt_ns) const;

@@ -51,22 +51,16 @@ void PhcClock::step(std::int64_t delta_ns) {
   value_ns_ += static_cast<long double>(delta_ns);
 }
 
-void PhcClock::save_state(sim::StateWriter& w) {
-  advance_to_now();
-  osc_.save_state(w);
-  w.rng(ts_rng_);
-  w.ld(value_ns_);
-  w.f64(freq_adj_ppb_);
-  w.f64(atk_drift_ppm_);
+template <class Ar>
+void PhcClock::persist(Ar& ar) {
+  if constexpr (!Ar::kLoading) advance_to_now();
+  osc_.persist(ar);
+  ar.rng(ts_rng_);
+  ar.ld(value_ns_);
+  ar.f64(freq_adj_ppb_);
+  ar.f64(atk_drift_ppm_);
 }
-
-void PhcClock::load_state(sim::StateReader& r) {
-  osc_.load_state(r);
-  r.rng(ts_rng_);
-  value_ns_ = r.ld();
-  freq_adj_ppb_ = r.f64();
-  atk_drift_ppm_ = r.f64();
-}
+TSN_PERSIST_INSTANTIATE(PhcClock);
 
 double PhcClock::effective_rate() const {
   return (1.0 + osc_.drift_ppm() * 1e-6) * (1.0 + freq_adj_ppb_ * 1e-9);

@@ -70,10 +70,9 @@ class PhcClock {
   const std::string& name() const { return name_; }
 
   /// Snapshot support: oscillator, timestamp RNG, accumulator and rates.
-  /// save_state first advances the clock to now() so capture-and-continue
+  /// Saving first advances the clock to now() so capture-and-continue
   /// and restore resume from bit-identical integration state.
-  void save_state(sim::StateWriter& w);
-  void load_state(sim::StateReader& r);
+  template <class Ar> void persist(Ar& ar);
 
  private:
   void advance_to_now();

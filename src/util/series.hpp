@@ -28,6 +28,15 @@ class TimeSeries {
   const std::vector<SeriesPoint>& points() const { return points_; }
   bool empty() const { return points_.empty(); }
 
+  /// Snapshot archive image (sim/persist.hpp): the points in order.
+  template <class Ar>
+  void persist(Ar& ar) {
+    ar.seq(points_, [&ar](SeriesPoint& p) {
+      ar.i64(p.t_ns);
+      ar.f64(p.value);
+    });
+  }
+
   /// Aggregate into fixed buckets of `bucket_ns` aligned to t=0.
   std::vector<AggregatedPoint> aggregate(std::int64_t bucket_ns) const;
 

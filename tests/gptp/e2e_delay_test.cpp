@@ -105,6 +105,23 @@ TEST(E2eDelayTest, P2pMasterIgnoresDelayReqs) {
   EXPECT_TRUE(std::isnan(slave.e2e_path_delay_ns()));
 }
 
+// The E2E branch of snapshot support, which no Scenario world reaches
+// (every ClockSyncVm runs P2P): captured one microsecond after the tenth
+// DelayReq left, so its t3 is recorded, the last Sync pair is held and the
+// DelayResp is still in flight. The slave also runs a local servo.
+TEST(E2eDelayTest, E2eStateSaveLoadSaveIsByteIdentical) {
+  StackPair p(3.0, -3.0, symmetric_link(1500), /*ts_jitter=*/4.0, /*seed=*/13);
+  p.stack_a.add_instance(e2e_gm());
+  auto& slave = p.stack_b.add_instance(e2e_slave());
+  slave.enable_local_servo({});
+  p.stack_a.start();
+  p.stack_b.start();
+  p.sim.run_until(SimTime(10_s + 1_us));
+  ASSERT_FALSE(std::isnan(slave.e2e_path_delay_ns()));
+  testutil::expect_save_load_save_identical(p.sim, p.stack_a);
+  testutil::expect_save_load_save_identical(p.sim, p.stack_b);
+}
+
 /// GM -- dumb (PTP-unaware) switch -- slave: E2E works where P2P cannot,
 /// but queueing jitter lands in the offsets uncorrected.
 struct DumbSwitchE2e {

@@ -1,12 +1,17 @@
 // Shared fixtures for gPTP protocol tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gptp/stack.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
+#include "sim/persist.hpp"
 #include "sim/simulation.hpp"
 
 namespace tsn::gptp::testutil {
@@ -48,5 +53,22 @@ struct StackPair {
         stack_a(sim, nic_a, ld_cfg, "A"),
         stack_b(sim, nic_b, ld_cfg, "B") {}
 };
+
+/// Save `obj`, load the image back into it (with the event queue cleared
+/// first, as a snapshot restore does) and save again: the two archives
+/// must be byte-identical.
+template <class T>
+void expect_save_load_save_identical(sim::Simulation& sim, T& obj) {
+  sim::StateWriter first;
+  obj.persist(first);
+  sim.queue().clear();
+  sim::StateReader r(first.data());
+  obj.persist(r);
+  EXPECT_TRUE(r.at_end());
+  sim::StateWriter second;
+  obj.persist(second);
+  EXPECT_EQ(second.data(), first.data());
+  EXPECT_EQ(second.hash(), first.hash());
+}
 
 } // namespace tsn::gptp::testutil

@@ -10,6 +10,7 @@
 
 #include "gptp/bridge.hpp"
 #include "gptp/stack.hpp"
+#include "gptp_test_util.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "net/switch.hpp"
@@ -162,6 +163,20 @@ TEST(HotStandbyTest, StepsRemovedGrowsAcrossBridge) {
                              });
   t.sim.run_until(SimTime(5_s));
   EXPECT_EQ(seen_steps, 1u); // one bridge hop
+}
+
+// The BMCA branch of snapshot support, which no Scenario world reaches
+// (every ClockSyncVm runs external port configuration): the foreign-master
+// table, the announce and BMCA-evaluation timers and the slave's local
+// servo must survive save -> load -> save byte for byte.
+TEST(HotStandbyTest, BmcaStateSaveLoadSaveIsByteIdentical) {
+  HotStandby t;
+  t.sim.run_until(SimTime(20_s));
+  ASSERT_EQ(t.inst_s->role(), PortRole::kSlave);
+  EXPECT_GE(t.inst_s->live_events(), 3u); // receipt check + announce + BMCA evaluation
+  for (PtpStack* stack : {&t.stack_a, &t.stack_b, &t.stack_s}) {
+    testutil::expect_save_load_save_identical(t.sim, *stack);
+  }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "gptp_test_util.hpp"
 
@@ -152,6 +153,34 @@ TEST(LinkDelayTest, ExchangeCountsAdvance) {
   // One exchange per second per initiator (both sides initiate).
   EXPECT_GE(p.stack_a.link_delay().completed_exchanges(), 8u);
   EXPECT_GE(p.stack_b.link_delay().completed_exchanges(), 8u);
+}
+
+TEST(LinkDelayTest, LoadRejectsRingWiderThanNrrWindow) {
+  LinkDelayConfig wide;
+  wide.nrr_window = 8;
+  StackPair p(0.0, 4.0, symmetric_link(1000), 0.0, 1, wide);
+  p.stack_a.start();
+  p.stack_b.start();
+  p.sim.run_until(SimTime(20_s)); // > 8 exchanges: the ring is full
+  sim::StateWriter w;
+  p.stack_a.link_delay().persist(w);
+
+  LinkDelayConfig narrow;
+  narrow.nrr_window = 2;
+  StackPair q(0.0, 4.0, symmetric_link(1000), 0.0, 1, narrow);
+  sim::StateReader r(w.data());
+  EXPECT_THROW(q.stack_a.link_delay().persist(r), std::runtime_error);
+}
+
+TEST(LinkDelayTest, StoppedServiceSaveLoadSaveIsByteIdentical) {
+  // A stopped chain still archives its last phase; a load must carry it
+  // over so the next save reproduces the image.
+  StackPair p(0.0, 0.0, symmetric_link(1000));
+  p.stack_a.start();
+  p.stack_b.start();
+  p.sim.run_until(SimTime(5_s + 300_ms));
+  p.stack_a.link_delay().stop();
+  testutil::expect_save_load_save_identical(p.sim, p.stack_a.link_delay());
 }
 
 } // namespace

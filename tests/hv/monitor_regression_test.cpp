@@ -10,7 +10,10 @@
 //      the episode once (no_successor) and reactivates on recovery.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hv/ecd.hpp"
+#include "sim/persist.hpp"
 
 namespace tsn::hv {
 namespace {
@@ -142,6 +145,25 @@ TEST(MonitorRegressionTest, NoSuccessorEpisodeEndsViaTakeoverWhenStandbyReturns)
   EXPECT_GE(f.ecd.monitor().stats().takeovers, 1u);
   EXPECT_TRUE(f.ecd.vm(1).is_active());
   EXPECT_EQ(f.ecd.st_shmem().active_vm(), 1u);
+}
+
+// Snapshot restore: check() indexes the per-VM flags by VM, so a monitor
+// must refuse an archive taken from a monitor watching a different number
+// of VMs instead of loading flags it would then index past.
+TEST(MonitorRegressionTest, LoadRejectsArchiveWithDifferentVmCount) {
+  FourVmFixture f;
+  f.sim.run_until(SimTime(2_s));
+  sim::StateWriter w;
+  f.ecd.monitor().persist(w);
+
+  Simulation sim{32};
+  Ecd two(sim, {"ecd", quiet(), {}});
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    two.add_clock_sync_vm(vm_cfg("vm" + std::to_string(i), 0x61 + i));
+  }
+  two.start();
+  sim::StateReader r(w.data());
+  EXPECT_THROW(two.monitor().persist(r), std::runtime_error);
 }
 
 } // namespace
