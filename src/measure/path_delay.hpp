@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,10 @@ class PathDelayMeter {
 
   /// Partitioned mode: sweeps are coordinated from `home_region` (the
   /// constructor's Simulation must be that region's). Send commands fan
-  /// out to each node's region over control channels (+2 ms), nodes stamp
-  /// their own region clock, and receivers forward (src, dst, delay)
-  /// samples back home (+1 ms). Call before any add_node().
+  /// out to each node's region over control channels (+2 ms) and nodes
+  /// stamp their own region clock. Each sample is recorded where it is
+  /// received: row `dst` of the delay table is written only by dst's
+  /// region, so nothing is shipped home. Call before any add_node().
   void set_partitioned(sim::PartitionRuntime* rt, std::size_t home_region);
 
   /// Register a node endpoint. All pairwise one-way delays between
@@ -45,14 +45,9 @@ class PathDelayMeter {
   /// `on_done` fires after the last sweep's results are in.
   void run(int rounds, std::int64_t spacing_ns, std::function<void()> on_done = {});
 
-  struct PairStats {
-    util::RunningStats delay_ns;
-  };
-
-  /// Per ordered pair (src, dst) one-way delay statistics.
-  const std::map<std::pair<std::string, std::string>, PairStats>& pairs() const {
-    return pairs_;
-  }
+  /// One-way delay statistics of the ordered pair src -> dst, or nullptr
+  /// when that pair has no sample (unknown names included).
+  const util::RunningStats* pair_delay(const std::string& src, const std::string& dst) const;
 
   /// Minimum / maximum observed latency over all node pairs -> E.
   double dmin_ns() const;
@@ -65,14 +60,14 @@ class PathDelayMeter {
   double gamma_ns(const std::string& measurement_node,
                   const std::vector<std::string>& destinations) const;
 
-  std::uint64_t probes_received() const { return probes_received_; }
+  std::uint64_t probes_received() const;
 
  private:
   void sweep();
   void send_from(std::uint32_t src_idx);
   void on_probe(std::uint32_t dst_idx, const net::EthernetFrame& frame,
                 const net::RxMeta& meta);
-  void record(std::uint32_t src_idx, std::uint32_t dst_idx, double delay_ns);
+  std::size_t index_of(const std::string& node_name) const; ///< nodes_.size() if unknown
 
   sim::Simulation& sim_;
   std::uint16_t vlan_id_;
@@ -86,8 +81,8 @@ class PathDelayMeter {
   std::vector<Node> nodes_;
   sim::PartitionRuntime* rt_ = nullptr;
   std::size_t home_region_ = 0;
-  std::map<std::pair<std::string, std::string>, PairStats> pairs_;
-  std::uint64_t probes_received_ = 0;
+  /// delays_[dst * n + src], n = nodes_.size(); sized by run().
+  std::vector<util::RunningStats> delays_;
   int rounds_left_ = 0;
   std::int64_t spacing_ns_ = 0;
   std::function<void()> on_done_;

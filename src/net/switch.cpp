@@ -9,6 +9,14 @@
 #include "util/str.hpp"
 
 namespace tsn::net {
+namespace {
+
+/// A MAC is 48 bits and a VID 12, so the pair packs into one hash key.
+std::uint64_t fdb_key(std::uint16_t vid, std::uint64_t mac) {
+  return (static_cast<std::uint64_t>(vid) << 48) | mac;
+}
+
+} // namespace
 
 Switch::Switch(sim::Simulation& sim, const SwitchConfig& cfg, const std::string& name)
     : sim_(sim),
@@ -31,7 +39,9 @@ void Switch::add_vlan_member(std::uint16_t vid, std::size_t port_idx) {
 
 void Switch::add_fdb_entry(std::uint16_t vid, MacAddress mac, std::size_t port_idx) {
   assert(port_idx < ports_.size());
-  fdb_[{vid, mac.to_u64()}].insert(port_idx);
+  std::vector<std::size_t>& ports = fdb_[fdb_key(vid, mac.to_u64())];
+  const auto at = std::lower_bound(ports.begin(), ports.end(), port_idx);
+  if (at == ports.end() || *at != port_idx) ports.insert(at, port_idx);
 }
 
 std::size_t Switch::index_of(const Port& p) const {
@@ -73,7 +83,7 @@ void Switch::forward_to(std::size_t out_idx, const FrameRef& frame) {
 void Switch::forward(std::size_t ingress_idx, const FrameRef& frame) {
   const std::uint16_t vid = frame->vlan ? frame->vlan->vid : 0;
   const std::uint64_t dst = frame->dst.to_u64();
-  auto it = fdb_.find({vid, dst});
+  const auto it = fdb_.find(fdb_key(vid, dst));
   if (it != fdb_.end()) {
     for (std::size_t out_idx : it->second) {
       if (out_idx == ingress_idx || !is_member(vid, out_idx)) continue;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -56,7 +57,7 @@ class Switch : public FrameSink, public sim::Persistent {
   void add_vlan_member(std::uint16_t vid, std::size_t port_idx);
 
   /// Static FDB entry; multiple entries for the same (vid, mac) accumulate
-  /// into a multicast egress set.
+  /// into a multicast egress set (ascending port order, duplicates ignored).
   void add_fdb_entry(std::uint16_t vid, MacAddress mac, std::size_t port_idx);
 
   /// Receiver for gPTP frames (per ingress port).
@@ -94,7 +95,9 @@ class Switch : public FrameSink, public sim::Persistent {
   time::PhcClock phc_;
   std::vector<std::unique_ptr<Port>> ports_;
   std::map<std::uint16_t, std::set<std::size_t>> vlan_members_;
-  std::map<std::pair<std::uint16_t, std::uint64_t>, std::set<std::size_t>> fdb_;
+  /// (vid << 48 | mac) -> sorted, de-duplicated egress ports. The order
+  /// is the order of the residence RNG draws, so it must stay ascending.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> fdb_;
   PtpSink ptp_sink_;
   util::RngStream residence_rng_;
 };

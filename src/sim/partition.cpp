@@ -42,6 +42,11 @@ void atomic_max(std::atomic<std::int64_t>& a, std::int64_t v) {
   }
 }
 
+/// Single-writer counter bump: no read-modify-write instruction needed.
+void bump(std::atomic<std::uint64_t>& c, std::uint64_t by) {
+  c.store(c.load(std::memory_order_relaxed) + by, std::memory_order_release);
+}
+
 std::int64_t sat_add(std::int64_t a, std::int64_t b) {
   if (a >= INT64_MAX - b) return INT64_MAX;
   return a + b;
@@ -75,6 +80,9 @@ PartitionRuntime::PartitionRuntime(std::size_t regions,
     regions_.push_back(std::make_unique<Region>(r, master_seed));
   }
   workers_ = std::max<std::size_t>(1, std::min(workers, regions));
+  for (const auto& r : regions_) r->shard = r->index % workers_; // shard_loop's stripes
+  sent_ = std::vector<ShardCounter>(workers_);
+  acked_ = std::vector<ShardCounter>(workers_);
   if (workers_ > 1) pool_ = std::make_unique<sweep::ThreadPool>(workers_);
 }
 
@@ -115,7 +123,8 @@ void PartitionRuntime::post_remote(std::uint32_t channel_id, SimTime at,
                    regions_[ch.src()]->safe_until.load(std::memory_order_relaxed) +
                        ch.min_delay_ns(),
                "send undercuts the source region's own published promise");
-  in_flight_.fetch_add(1, std::memory_order_release);
+  // Counted before the push, so a drained message is always counted sent.
+  bump(sent_[regions_[ch.src()]->shard].n, 1);
   ch.push(at, std::move(fn));
 }
 
@@ -192,17 +201,27 @@ bool PartitionRuntime::step_region(Region& region, SimTime limit) {
     t_current_region = SIZE_MAX;
   }
 
-  // 4. Publish. next_event must be visible before in_flight_ drops, so a
-  //    zero in-flight count guarantees every delivered message is already
-  //    reflected in a published value (the leap relies on this).
+  // 4. Publish. next_event must be visible before the ack counts, so
+  //    matching sent/acked totals guarantee every delivered message is
+  //    already reflected in a published value (the leap relies on this).
   const std::int64_t next = region.sim.next_event_ns();
   region.next_event.store(next, std::memory_order_release);
   atomic_max(region.safe_until, std::min(next, eit));
-  if (drained > 0) {
-    in_flight_.fetch_sub(static_cast<std::int64_t>(drained),
-                         std::memory_order_release);
-  }
+  if (drained > 0) bump(acked_[region.shard].n, drained);
   return ran > 0 || drained > 0;
+}
+
+bool PartitionRuntime::no_message_in_flight() const {
+  // Acks first, then sends. A message is counted sent before it can be
+  // drained, and counters only grow, so acked <= (sent at the end of the
+  // first pass) <= sent; equality means nothing was in flight at the
+  // moment between the passes, and every ack read carries its published
+  // next_event with it.
+  std::uint64_t acked = 0;
+  for (const ShardCounter& c : acked_) acked += c.n.load(std::memory_order_acquire);
+  std::uint64_t sent = 0;
+  for (const ShardCounter& c : sent_) sent += c.n.load(std::memory_order_acquire);
+  return acked == sent;
 }
 
 bool PartitionRuntime::try_leap(SimTime limit) {
@@ -211,10 +230,10 @@ bool PartitionRuntime::try_leap(SimTime limit) {
   // a leap to their minimum is always safe; it is *exact* — and therefore
   // guarantees progress or detects stage completion — once no message is
   // in flight.
-  if (in_flight_.load(std::memory_order_acquire) != 0) return false;
+  if (!no_message_in_flight()) return false;
   std::unique_lock<std::mutex> lk(leap_mu_, std::try_to_lock);
   if (!lk.owns_lock()) return false;
-  if (in_flight_.load(std::memory_order_acquire) != 0) return false;
+  if (!no_message_in_flight()) return false;
 
   std::int64_t g = INT64_MAX;
   for (const auto& r : regions_) {

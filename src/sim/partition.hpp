@@ -199,6 +199,7 @@ class PartitionRuntime {
         : index(idx), sim(master_seed) {}
 
     const std::size_t index;
+    std::size_t shard = 0; ///< the worker shard that executes this region
     Simulation sim;
     std::vector<Channel*> in;  ///< channels delivering into this region
     std::vector<Channel*> out; ///< channels this region sends on
@@ -216,8 +217,15 @@ class PartitionRuntime {
     std::vector<std::uint32_t> parked_free;
   };
 
+  /// One shard's message tally on its own cache line. Only that shard
+  /// writes it, so it is bumped by a plain load and release store.
+  struct alignas(64) ShardCounter {
+    std::atomic<std::uint64_t> n{0};
+  };
+
   void shard_loop(std::size_t shard, SimTime limit);
   bool step_region(Region& region, SimTime limit);
+  bool no_message_in_flight() const;
   bool try_leap(SimTime limit);
   void enqueue_remote(Region& region, Channel::Msg&& msg);
 
@@ -229,9 +237,12 @@ class PartitionRuntime {
   std::unique_ptr<sweep::ThreadPool> pool_;
   std::function<void(std::size_t, bool)> scope_hook_;
 
-  /// Messages pushed but not yet folded into a published next_event;
-  /// leaping (which trusts published values) is barred while nonzero.
-  std::atomic<std::int64_t> in_flight_{0};
+  /// Per shard: messages pushed by the regions it executes (sent_) and
+  /// messages drained into them and folded into a published next_event
+  /// (acked_). Leaping, which trusts published values, is barred unless
+  /// the totals match. Monotone for the runtime's lifetime.
+  std::vector<ShardCounter> sent_;
+  std::vector<ShardCounter> acked_;
   std::atomic<bool> stage_done_{false};
   std::mutex leap_mu_;
   SimTime now_ = SimTime::zero();

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -133,6 +135,39 @@ TEST(PartitionDeterminism, Scale64RingByteIdentical) {
     experiments::ScenarioConfig cfg = base;
     cfg.partitions = p;
     EXPECT_EQ(run_fingerprint(cfg, 1'000'000'000LL, false), p1) << "partitions=" << p;
+  }
+}
+
+TEST(PartitionDeterminism, CalibrationShardCountMatrix) {
+  // Every probe sample is recorded in the region that received it, so the
+  // delay table is written by all shards at once; the calibration must
+  // still agree bit for bit across shard counts and miss no probe.
+  constexpr int kRounds = 4;
+  struct Result {
+    std::uint64_t dmin, dmax, gamma, pi;
+    std::uint64_t probes;
+  };
+  std::vector<Result> results;
+  for (std::size_t p : {1u, 2u, 4u}) {
+    experiments::Scenario scenario(make_cfg(16, experiments::TopologyKind::kRing, 4, p));
+    experiments::ExperimentHarness harness(scenario);
+    scenario.start();
+    const auto cal = harness.calibrate(kRounds);
+    results.push_back({std::bit_cast<std::uint64_t>(cal.dmin_ns),
+                       std::bit_cast<std::uint64_t>(cal.dmax_ns),
+                       std::bit_cast<std::uint64_t>(cal.gamma_ns),
+                       std::bit_cast<std::uint64_t>(cal.bound.pi_ns),
+                       scenario.path_meter().probes_received()});
+    const std::uint64_t nodes = 2 * scenario.num_ecds();
+    EXPECT_EQ(results.back().probes, kRounds * nodes * (nodes - 1)) << "partitions=" << p;
+    EXPECT_GT(cal.dmin_ns, 0.0);
+    EXPECT_GT(cal.dmax_ns, cal.dmin_ns);
+  }
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].dmin, results[0].dmin) << i;
+    EXPECT_EQ(results[i].dmax, results[0].dmax) << i;
+    EXPECT_EQ(results[i].gamma, results[0].gamma) << i;
+    EXPECT_EQ(results[i].pi, results[0].pi) << i;
   }
 }
 

@@ -72,10 +72,13 @@ TEST(PathDelayMeterTest, MeasuresAsymmetricPairDelays) {
   EXPECT_EQ(meter.probes_received(), 10u);
   // Probe frames: 46B payload -> 64B minimum frame + 20B overhead = 672 ns
   // serialization (true transit includes it), plus propagation.
-  const auto& ab = meter.pairs().at({"a", "b"});
-  const auto& ba = meter.pairs().at({"b", "a"});
-  EXPECT_NEAR(ab.delay_ns.mean(), 1000.0 + 672.0, 2.0);
-  EXPECT_NEAR(ba.delay_ns.mean(), 3000.0 + 672.0, 2.0);
+  const util::RunningStats* ab = meter.pair_delay("a", "b");
+  const util::RunningStats* ba = meter.pair_delay("b", "a");
+  ASSERT_NE(ab, nullptr);
+  ASSERT_NE(ba, nullptr);
+  EXPECT_EQ(ab->count(), 5u);
+  EXPECT_NEAR(ab->mean(), 1000.0 + 672.0, 2.0);
+  EXPECT_NEAR(ba->mean(), 3000.0 + 672.0, 2.0);
   EXPECT_NEAR(meter.reading_error_ns(), 2000.0, 4.0);
 }
 
@@ -110,7 +113,38 @@ TEST(PathDelayMeterTest, DeadDestinationYieldsNoSamples) {
   meter.add_node("b", &b);
   meter.run(3, 10_ms);
   sim.run_until(SimTime(1_s));
-  EXPECT_EQ(meter.pairs().count({"a", "b"}), 0u);
+  EXPECT_EQ(meter.pair_delay("a", "b"), nullptr);
+}
+
+TEST(PathDelayMeterTest, NeverMeasuredPairsAreAbsentAndIgnored) {
+  // c has no link: every pair touching it, and every node's pair with
+  // itself, stays empty. An empty RunningStats reports min() == 0, so a
+  // dense table that did not skip them would pull dmin down to 0.
+  Simulation sim{9};
+  net::Nic a(sim, quiet(), net::MacAddress::from_u64(0xA), "a");
+  net::Nic b(sim, quiet(), net::MacAddress::from_u64(0xB), "b");
+  net::Nic c(sim, quiet(), net::MacAddress::from_u64(0xC), "c");
+  net::LinkConfig lc;
+  lc.a_to_b = {1000, 0.0};
+  lc.b_to_a = {3000, 0.0};
+  net::Link link(sim, a.port(), b.port(), lc, "ab");
+  PathDelayMeter meter(sim, 0, "meter");
+  meter.add_node("a", &a);
+  meter.add_node("b", &b);
+  meter.add_node("c", &c);
+  meter.run(4, 10_ms);
+  sim.run_until(SimTime(1_s));
+  EXPECT_EQ(meter.probes_received(), 8u);
+  EXPECT_EQ(meter.pair_delay("a", "c"), nullptr);
+  EXPECT_EQ(meter.pair_delay("c", "b"), nullptr);
+  EXPECT_EQ(meter.pair_delay("a", "a"), nullptr);
+  EXPECT_EQ(meter.pair_delay("a", "zzz"), nullptr);
+  EXPECT_NE(meter.pair_delay("a", "b"), nullptr);
+  EXPECT_NEAR(meter.dmin_ns(), 1000.0 + 672.0, 2.0);
+  EXPECT_NEAR(meter.dmax_ns(), 3000.0 + 672.0, 2.0);
+  // gamma over a set whose only measured path is a -> b.
+  EXPECT_NEAR(meter.gamma_ns("a", {"b", "c"}), 0.0, 1.0);
+  EXPECT_EQ(meter.gamma_ns("c", {"a", "b"}), 0.0);
 }
 
 } // namespace

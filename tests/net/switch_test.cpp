@@ -39,25 +39,30 @@ LinkConfig quiet_link() {
   return cfg;
 }
 
-/// Star: three NICs on switch ports 0..2.
+/// Star: four NICs on switch ports 0..3; records who received what, when.
 struct Star {
   Simulation sim{11};
   Switch sw;
   std::vector<std::unique_ptr<Nic>> nics;
   std::vector<std::unique_ptr<Link>> links;
   std::vector<int> rx_count;
+  std::vector<std::size_t> rx_order;
+  std::vector<std::int64_t> rx_time;
 
-  Star() : sw(sim, quiet_switch(), "sw") {
-    for (std::uint64_t i = 0; i < 3; ++i) {
+  explicit Star(const SwitchConfig& cfg = quiet_switch()) : sw(sim, cfg, "sw") {
+    for (std::uint64_t i = 0; i < 4; ++i) {
       nics.push_back(
           std::make_unique<Nic>(sim, quiet_phc(), MacAddress::from_u64(0x10 + i), "n" + std::to_string(i)));
       links.push_back(std::make_unique<Link>(sim, nics.back()->port(), sw.port(i), quiet_link(),
                                              "l" + std::to_string(i)));
     }
-    rx_count.assign(3, 0);
-    for (std::size_t i = 0; i < 3; ++i) {
-      nics[i]->set_rx_handler(0x1234, [this, i](const EthernetFrame&, const RxMeta&) {
+    rx_count.assign(4, 0);
+    rx_time.assign(4, -1);
+    for (std::size_t i = 0; i < 4; ++i) {
+      nics[i]->set_rx_handler(0x1234, [this, i](const EthernetFrame&, const RxMeta& m) {
         ++rx_count[i];
+        rx_order.push_back(i);
+        rx_time[i] = m.true_rx_time.ns();
       });
     }
   }
@@ -173,6 +178,56 @@ TEST(SwitchTest, MulticastFdbFanout) {
   EXPECT_EQ(s.rx_count[1], 1);
   EXPECT_EQ(s.rx_count[2], 1);
   EXPECT_EQ(s.rx_count[0], 0);
+}
+
+TEST(SwitchTest, FdbEgressIsAscendingAndDeduplicated) {
+  // Entries arrive descending, with a duplicate; the frame must leave each
+  // member port once, in ascending port order, skipping the ingress port.
+  // With zero jitter, same-time arrivals keep the egress order.
+  Star s;
+  const MacAddress group({0x01, 0x00, 0x5e, 0x0a, 0x0b, 0x0c});
+  for (std::size_t p : {3u, 2u, 1u, 2u, 0u}) s.sw.add_fdb_entry(0, group, p);
+  for (auto& nic : s.nics) nic->join_multicast(group);
+  s.nics[1]->send(s.frame_to(group));
+  s.sim.run_until(SimTime(1_ms));
+  EXPECT_EQ(s.rx_order, (std::vector<std::size_t>{0, 2, 3}));
+}
+
+TEST(SwitchTest, FdbEgressOrderFixesResidenceDraws) {
+  // Each egress port consumes one residence draw, in ascending port order.
+  // A twin switch with the same seed and name replays the draw sequence.
+  SwitchConfig cfg = quiet_switch();
+  cfg.residence_jitter_ns = 250.0;
+  Star s(cfg);
+  const MacAddress group({0x01, 0x00, 0x5e, 0x0a, 0x0b, 0x0d});
+  for (std::size_t p : {3u, 0u, 2u, 3u}) s.sw.add_fdb_entry(0, group, p);
+  for (auto& nic : s.nics) nic->join_multicast(group);
+  s.nics[1]->send(s.frame_to(group));
+  s.sim.run_until(SimTime(1_ms));
+
+  Simulation twin_sim{11};
+  Switch twin(twin_sim, cfg, "sw");
+  const std::int64_t hop = 672 + 500; // 64 B frame serialization + propagation
+  for (std::size_t p : {0u, 2u, 3u}) {
+    EXPECT_EQ(s.rx_time[p], hop + twin.draw_residence_ns() + hop) << "port " << p;
+  }
+  EXPECT_EQ(s.rx_time[1], -1);
+}
+
+TEST(SwitchTest, UnknownUnicastStillFloodsBesideFdbEntries) {
+  Star s;
+  s.sw.add_fdb_entry(0, s.nics[2]->mac(), 2);
+  s.nics[0]->send(s.frame_to(s.nics[3]->mac())); // no entry for n3: flooded, n3 accepts it
+  s.sim.run_until(SimTime(1_ms));
+  EXPECT_EQ(s.rx_order, (std::vector<std::size_t>{3}));
+
+  SwitchConfig strict = quiet_switch();
+  strict.drop_unknown_unicast = true;
+  Star t(strict);
+  t.sw.add_fdb_entry(0, t.nics[2]->mac(), 2);
+  t.nics[0]->send(t.frame_to(t.nics[3]->mac()));
+  t.sim.run_until(SimTime(1_ms));
+  EXPECT_TRUE(t.rx_order.empty());
 }
 
 TEST(SwitchTest, ResidenceJitterVaries) {

@@ -35,9 +35,13 @@
 //
 //   tsnfta_fuzz export=83 out=tests/corpus name=burst_kill
 //
+// out=DIR (export and campaign modes) is created up front if missing; a
+// DIR that cannot be created exits 2 before any case runs.
+//
 // Exit codes: 0 all cases clean, 1 invariant violation(s) found, 2 usage.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "check/fuzz.hpp"
@@ -77,6 +81,17 @@ int shrink_and_write(const check::FuzzCase& c, const std::string& stem) {
   return 1;
 }
 
+/// Export and campaign modes write into out=DIR only after their runs;
+/// make sure DIR is usable before any run time is spent.
+bool ensure_out_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec && std::filesystem::is_directory(dir, ec)) return true;
+  std::fprintf(stderr, "tsnfta_fuzz: out=%s is not a usable directory%s%s\n", dir.c_str(),
+               ec ? ": " : "", ec ? ec.message().c_str() : "");
+  return false;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -102,6 +117,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+
+  const std::string out_dir = cli.get_string("out", ".");
+  if (!cli.has("replay") && !ensure_out_dir(out_dir)) return 2;
 
   // ---- replay mode -------------------------------------------------------
   if (cli.has("replay")) {
@@ -135,7 +153,6 @@ int main(int argc, char** argv) {
   if (cli.has("export")) {
     const std::uint64_t index = static_cast<std::uint64_t>(cli.get_int("export", 0));
     const std::uint64_t master_seed = static_cast<std::uint64_t>(cli.get_int("master_seed", 1));
-    const std::string out_dir = cli.get_string("out", ".");
     const bool with_attacks = cli.get_bool("attacks", false);
     check::FuzzCase c = check::derive_case(master_seed, index, duration_ns, with_attacks);
     c.fast_forward = fast_forward;
@@ -179,7 +196,6 @@ int main(int argc, char** argv) {
   cfg.duration_ns = duration_ns;
   cfg.attacks = cli.get_bool("attacks", false);
   cfg.fast_forward = fast_forward;
-  const std::string out_dir = cli.get_string("out", ".");
 
   std::printf("fuzz campaign: %zu cases from master_seed=%llu, %llds fault phase each%s%s\n",
               cfg.num_cases, (unsigned long long)cfg.master_seed,
