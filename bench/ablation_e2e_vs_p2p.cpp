@@ -55,7 +55,7 @@ Outcome run(bool p2p_with_bridge, double residence_jitter, std::int64_t duration
   slave_cfg.role = gptp::PortRole::kSlave;
   if (p2p_with_bridge) {
     gptp::BridgeConfig bcfg;
-    bcfg.domains = {{0, 0, {1}, false}};
+    bcfg.domains = {{0, 0, {1}}};
     bridge = std::make_unique<gptp::TimeAwareBridge>(sim, sw, bcfg, "br");
   } else {
     gm_cfg.delay_mechanism = gptp::DelayMechanism::kE2E;

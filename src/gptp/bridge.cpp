@@ -135,7 +135,6 @@ void TimeAwareBridge::persist(Ar& ar) {
   ar.b(started_);
   ar.u64(counters_.syncs_relayed);
   ar.u64(counters_.followups_relayed);
-  ar.u64(counters_.announces_relayed);
   ar.u64(counters_.syncs_on_non_slave_port);
   ar.u64(counters_.malformed);
   ar.u64(counters_.storm_syncs_sent);
@@ -146,7 +145,6 @@ void TimeAwareBridge::persist(Ar& ar) {
       ar.i64(p.rx_ts);
       ar.i64(p.correction_scaled);
       p.source.persist(ar);
-      ar.u64(p.ingress_port);
     });
   }
   ar.opt(atk_corr_domain_, [&ar](std::uint8_t& d) { ar.u8(d); });
@@ -203,69 +201,43 @@ void TimeAwareBridge::on_ptp(std::size_t port_idx, const net::EthernetFrame& fra
   DomainState& ds = it->second;
 
   if (const auto* sync = std::get_if<SyncMessage>(&*msg)) {
-    if (!ds.cfg.dynamic && port_idx != ds.cfg.slave_port) {
+    if (port_idx != ds.cfg.slave_port) {
       ++counters_.syncs_on_non_slave_port; // passive port: ignore
       return;
     }
     ds.pending = PendingSync{sync->header.sequence_id, rx_ts, sync->header.correction_scaled,
-                             sync->header.source_port, port_idx};
+                             sync->header.source_port};
     return;
   }
 
   if (const auto* fup = std::get_if<FollowUpMessage>(&*msg)) {
-    if (!ds.cfg.dynamic && port_idx != ds.cfg.slave_port) return;
+    if (port_idx != ds.cfg.slave_port) return;
     if (!ds.pending || ds.pending->seq != fup->header.sequence_id ||
-        ds.pending->source != fup->header.source_port ||
-        ds.pending->ingress_port != port_idx) {
+        ds.pending->source != fup->header.source_port) {
       return;
     }
     relay_follow_up(ds, *fup);
-    return;
   }
-
-  if (const auto* ann = std::get_if<AnnounceMessage>(&*msg)) {
-    if (ds.cfg.dynamic) relay_announce(ds, port_idx, *ann);
-    return; // with external port configuration announces are not relayed
-  }
-}
-
-void TimeAwareBridge::relay_announce(DomainState& ds, std::size_t ingress,
-                                     const AnnounceMessage& msg) {
-  // Loop prevention: never relay an announce that already traversed us.
-  for (const auto& hop : msg.path_trace) {
-    if (hop == identity_) return;
-  }
-  AnnounceMessage out = msg;
-  out.steps_removed = static_cast<std::uint16_t>(out.steps_removed + 1);
-  out.path_trace.push_back(identity_);
-  for (std::size_t p = 0; p < sw_.port_count(); ++p) {
-    if (p == ingress || !sw_.port(p).connected()) continue;
-    out.header.source_port = port_identity(p);
-    ++counters_.announces_relayed;
-    send_message_on_port(p, out, {});
-  }
-  (void)ds;
 }
 
 void TimeAwareBridge::relay_follow_up(DomainState& ds, const FollowUpMessage& fup) {
   const PendingSync pending = *ds.pending;
   ds.pending.reset();
 
-  LinkDelayService& ingress_ld = *link_delay_[pending.ingress_port];
+  const auto base_correction =
+      scaled_ns::checked_add(pending.correction_scaled, fup.header.correction_scaled);
+  if (!base_correction) {
+    ++counters_.malformed;
+    return;
+  }
+  LinkDelayService& ingress_ld = *link_delay_[ds.cfg.slave_port];
   if (!ingress_ld.valid()) return; // upstream link delay not yet measured
 
   // Cumulative rate ratio from the GM to this bridge's clock.
   const double rate_ratio = fup.rate_ratio() * ingress_ld.neighbor_rate_ratio();
   const double upstream_delay_ns = ingress_ld.mean_link_delay_ns();
 
-  std::set<std::size_t> egress = ds.cfg.master_ports;
-  if (ds.cfg.dynamic) {
-    egress.clear();
-    for (std::size_t p = 0; p < sw_.port_count(); ++p) {
-      if (p != pending.ingress_port && sw_.port(p).connected()) egress.insert(p);
-    }
-  }
-  for (std::size_t out_port : egress) {
+  for (std::size_t out_port : ds.cfg.master_ports) {
     sync_tpl_.set_domain(ds.cfg.domain);
     sync_tpl_.set_source_port(port_identity(out_port));
     sync_tpl_.set_sequence_id(pending.seq);
@@ -278,7 +250,7 @@ void TimeAwareBridge::relay_follow_up(DomainState& ds, const FollowUpMessage& fu
     ctx.seq = pending.seq;
     ctx.out_port = out_port;
     ctx.rx_ts = pending.rx_ts;
-    ctx.base_correction = pending.correction_scaled + fup.header.correction_scaled;
+    ctx.base_correction = *base_correction;
     ctx.precise_origin = fup.precise_origin;
     ctx.gm_time_base_indicator = fup.gm_time_base_indicator;
     ctx.freq_change = fup.scaled_last_gm_freq_change;
@@ -304,12 +276,18 @@ void TimeAwareBridge::finish_relay(std::uint32_t slot, std::optional<std::int64_
   // Compromised-bridge correction tamper: the FollowUp claims more (or
   // less) residence than actually elapsed for the attacked domain.
   if (atk_corr_domain_ && *atk_corr_domain_ == ctx.domain) added_ns += atk_corr_bias_ns_;
+  const auto correction =
+      scaled_ns::checked_add(ctx.base_correction, scaled_ns::from_ns(added_ns));
+  if (!correction) {
+    ++counters_.malformed;
+    return;
+  }
 
   fup_tpl_.set_domain(ctx.domain);
   fup_tpl_.set_source_port(port_identity(ctx.out_port));
   fup_tpl_.set_sequence_id(ctx.seq);
   fup_tpl_.set_log_message_interval(ctx.log_interval);
-  fup_tpl_.set_correction_scaled(ctx.base_correction + scaled_ns::from_ns(added_ns));
+  fup_tpl_.set_correction_scaled(*correction);
   fup_tpl_.set_body_timestamp(ctx.precise_origin);
   fup_tpl_.set_cumulative_scaled_rate_offset(rate_offset::from_ratio(ctx.rate_ratio));
   fup_tpl_.set_gm_time_base_indicator(ctx.gm_time_base_indicator);

@@ -33,13 +33,6 @@ struct BridgeDomainConfig {
   std::size_t slave_port = 0;
   std::set<std::size_t> master_ports;
   // Ports not listed are passive for this domain.
-
-  /// Dynamic mode (hot-standby grandmasters via BMCA): ignore the static
-  /// roles above; relay Announce messages to every other port (stepsRemoved
-  /// incremented, own identity appended to the path trace) and relay
-  /// Sync/FollowUp from whichever port they arrive on to all others.
-  /// Requires a physically loop-free topology for this domain.
-  bool dynamic = false;
 };
 
 struct BridgeConfig {
@@ -50,8 +43,9 @@ struct BridgeConfig {
 struct BridgeCounters {
   std::uint64_t syncs_relayed = 0;
   std::uint64_t followups_relayed = 0;
-  std::uint64_t announces_relayed = 0;
   std::uint64_t syncs_on_non_slave_port = 0;
+  /// Unparseable frames, plus relays dropped because a correction sum
+  /// overflows int64.
   std::uint64_t malformed = 0;
   std::uint64_t storm_syncs_sent = 0; ///< bogus Syncs injected by a compromise
 };
@@ -106,7 +100,6 @@ class TimeAwareBridge : public sim::Persistent {
     std::int64_t rx_ts = 0; // switch PHC at ingress
     std::int64_t correction_scaled = 0;
     PortIdentity source;
-    std::size_t ingress_port = 0;
   };
   struct DomainState {
     BridgeDomainConfig cfg;
@@ -133,10 +126,9 @@ class TimeAwareBridge : public sim::Persistent {
   void on_ptp(std::size_t port_idx, const net::EthernetFrame& frame, const net::RxMeta& meta);
   void relay_follow_up(DomainState& ds, const FollowUpMessage& fup);
   void finish_relay(std::uint32_t slot, std::optional<std::int64_t> tx_ts);
-  void relay_announce(DomainState& ds, std::size_t ingress, const AnnounceMessage& msg);
   /// Hot path: transmit a pooled frame (the bridge's source MAC filled in).
   void send_on_port(std::size_t port_idx, net::FrameRef frame, LinkDelayService::TxTsFn on_tx);
-  /// Cold path (Announce relay): serialize into a pooled frame first.
+  /// Cold path (sync storm): serialize into a pooled frame first.
   void send_message_on_port(std::size_t port_idx, const Message& msg,
                             LinkDelayService::TxTsFn on_tx);
   std::uint32_t alloc_relay_slot();

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/log.hpp"
-
 namespace tsn::gptp {
 namespace {
 
@@ -53,40 +51,14 @@ PtpInstance::PtpInstance(sim::Simulation& sim, net::Nic& nic, LinkDelayService& 
       cfg_(cfg),
       name_(name),
       identity_{ClockIdentity::from_u64(nic.mac().to_u64()), 1},
-      role_(cfg.role),
       fault_rng_(sim.make_rng("ptp-fault/" + name)),
       sync_tpl_(make_sync_proto(cfg, identity_)),
       fup_tpl_(make_fup_proto(cfg, identity_)),
       delay_req_tpl_(make_delay_req_proto(cfg, identity_)),
-      delay_resp_tpl_(make_delay_resp_proto(cfg, identity_)) {
-  if (cfg_.use_bmca) {
-    BmcaEngine::Config bc;
-    bc.local.priority1 = cfg_.priority1;
-    bc.local.priority2 = cfg_.priority2;
-    bc.local.quality = cfg_.quality;
-    bc.local.identity = identity_.clock;
-    bc.announce_timeout_ns = 3 * cfg_.announce_interval_ns;
-    bmca_ = BmcaEngine(bc);
-    role_ = PortRole::kMaster; // assume master until a better clock is heard
-  }
-}
+      delay_resp_tpl_(make_delay_resp_proto(cfg, identity_)) {}
 
 void PtpInstance::fault(const std::string& kind) {
   if (fault_cb_) fault_cb_(kind);
-}
-
-void PtpInstance::send_message(const Message& msg, std::optional<std::int64_t> launch_time,
-                               net::TxCallback on_complete) {
-  net::FrameRef frame = net::FramePool::local().acquire();
-  net::EthernetFrame& eth = frame.writable();
-  eth.dst = net::MacAddress::gptp_multicast();
-  eth.ethertype = net::kEtherTypePtp;
-  serialize_into(msg, eth.payload);
-  net::TxOptions opts;
-  opts.launch_time = launch_time;
-  opts.on_complete = std::move(on_complete);
-  opts.owner = this;
-  nic_.send(std::move(frame), std::move(opts));
 }
 
 void PtpInstance::send_template(const MessageTemplate& tpl, std::optional<std::int64_t> launch_time,
@@ -102,30 +74,21 @@ void PtpInstance::start() {
   if (running_) return;
   running_ = true;
   const std::int64_t now = sim_.now().ns();
-  if (role_ == PortRole::kSlave || cfg_.use_bmca) {
+  if (cfg_.role == PortRole::kSlave) {
     park_sync_check_.park_at(now + cfg_.sync_interval_ns);
     if (cfg_.delay_mechanism == DelayMechanism::kE2E) {
       park_delay_req_.park_at(now + cfg_.delay_req_interval_ns);
     }
   }
-  if (cfg_.use_bmca) {
-    park_announce_.park_at(now);
-    park_bmca_.park_at(now + cfg_.announce_interval_ns);
-  }
-  resume_timers([this] { schedule_next_sync_tx(); }); // a BMCA port starts as master
+  schedule_next_sync_tx();
+  resume_timers();
 }
 
-void PtpInstance::resume_timers(const std::function<void()>& sync_hop) {
-  if (!cfg_.use_bmca) sync_hop();
+void PtpInstance::resume_timers() {
   park_sync_check_.resume(sim_, sync_check_, cfg_.sync_interval_ns,
                           [this](sim::SimTime t) { check_sync_receipt(t); });
   park_delay_req_.resume(sim_, delay_req_timer_, cfg_.delay_req_interval_ns,
                          [this](sim::SimTime) { send_delay_req(); });
-  park_announce_.resume(sim_, announce_tx_, cfg_.announce_interval_ns,
-                        [this](sim::SimTime) { send_announce(); });
-  park_bmca_.resume(sim_, bmca_eval_, cfg_.announce_interval_ns,
-                    [this](sim::SimTime) { evaluate_bmca(); });
-  if (cfg_.use_bmca) sync_hop();
 }
 
 void PtpInstance::stop() {
@@ -133,8 +96,6 @@ void PtpInstance::stop() {
   ++epoch_;
   sync_check_.cancel();
   delay_req_timer_.cancel();
-  announce_tx_.cancel();
-  bmca_eval_.cancel();
   pending_sync_.reset();
   gm_receiving_ = false;
   last_sync_rx_sim_ns_ = -1;
@@ -170,7 +131,7 @@ void PtpInstance::schedule_at_phc(std::int64_t target_phc, std::function<void()>
 }
 
 void PtpInstance::schedule_next_sync_tx() {
-  if (!running_ || role_ != PortRole::kMaster) return;
+  if (!running_ || cfg_.role != PortRole::kMaster) return;
   const std::int64_t S = cfg_.sync_interval_ns;
   const std::int64_t now_phc = nic_.phc().read();
   if (cfg_.align_launch) {
@@ -190,7 +151,7 @@ void PtpInstance::schedule_next_sync_tx() {
 }
 
 void PtpInstance::prepare_sync_tx(std::int64_t launch_phc) {
-  if (!running_ || role_ != PortRole::kMaster) return;
+  if (!running_ || cfg_.role != PortRole::kMaster) return;
   if (cfg_.align_launch && fault_model_.p_late_launch > 0 &&
       fault_rng_.chance(fault_model_.p_late_launch)) {
     // Software stack hiccup: the Sync is enqueued after its launch time
@@ -208,7 +169,7 @@ void PtpInstance::prepare_sync_tx(std::int64_t launch_phc) {
 }
 
 void PtpInstance::transmit_sync(std::int64_t launch_phc) {
-  if (!running_ || role_ != PortRole::kMaster) return;
+  if (!running_ || cfg_.role != PortRole::kMaster) return;
   sync_tpl_.set_sequence_id(++sync_seq_);
 
   const std::uint64_t epoch = epoch_;
@@ -274,8 +235,6 @@ void PtpInstance::handle_message(const Message& msg, std::int64_t rx_ts) {
     on_sync(*sync, rx_ts);
   } else if (const auto* fup = std::get_if<FollowUpMessage>(&msg)) {
     on_follow_up(*fup);
-  } else if (const auto* ann = std::get_if<AnnounceMessage>(&msg)) {
-    on_announce_msg(*ann);
   } else if (const auto* dreq = std::get_if<DelayReqMessage>(&msg)) {
     on_delay_req(*dreq, rx_ts);
   } else if (const auto* dresp = std::get_if<DelayRespMessage>(&msg)) {
@@ -284,7 +243,7 @@ void PtpInstance::handle_message(const Message& msg, std::int64_t rx_ts) {
 }
 
 void PtpInstance::send_delay_req() {
-  if (!running_ || role_ != PortRole::kSlave) return;
+  if (!running_ || cfg_.role != PortRole::kSlave) return;
   delay_req_tpl_.set_sequence_id(++delay_req_seq_);
   e2e_t3_.reset();
   const std::uint64_t epoch = epoch_;
@@ -299,7 +258,7 @@ void PtpInstance::send_delay_req() {
 }
 
 void PtpInstance::on_delay_req(const DelayReqMessage& msg, std::int64_t rx_ts) {
-  if (role_ != PortRole::kMaster || cfg_.delay_mechanism != DelayMechanism::kE2E) return;
+  if (cfg_.role != PortRole::kMaster || cfg_.delay_mechanism != DelayMechanism::kE2E) return;
   delay_resp_tpl_.set_sequence_id(msg.header.sequence_id);
   delay_resp_tpl_.set_body_timestamp(Timestamp::from_ns(rx_ts));
   delay_resp_tpl_.set_requesting_port(msg.header.source_port);
@@ -308,7 +267,7 @@ void PtpInstance::on_delay_req(const DelayReqMessage& msg, std::int64_t rx_ts) {
 }
 
 void PtpInstance::on_delay_resp(const DelayRespMessage& msg) {
-  if (role_ != PortRole::kSlave || !e2e_t3_ || msg.requesting_port != identity_ ||
+  if (cfg_.role != PortRole::kSlave || !e2e_t3_ || msg.requesting_port != identity_ ||
       msg.header.sequence_id != delay_req_seq_ || !e2e_last_sync_) {
     return;
   }
@@ -327,14 +286,14 @@ void PtpInstance::on_delay_resp(const DelayRespMessage& msg) {
 }
 
 void PtpInstance::on_sync(const SyncMessage& msg, std::int64_t rx_ts) {
-  if (role_ != PortRole::kSlave) return;
+  if (cfg_.role != PortRole::kSlave) return;
   ++counters_.syncs_received;
   pending_sync_ = PendingSync{msg.header.sequence_id, rx_ts, msg.header.correction_scaled,
                               msg.header.source_port};
 }
 
 void PtpInstance::on_follow_up(const FollowUpMessage& msg) {
-  if (role_ != PortRole::kSlave || !pending_sync_) return;
+  if (cfg_.role != PortRole::kSlave || !pending_sync_) return;
   if (msg.header.sequence_id != pending_sync_->seq ||
       msg.header.source_port != pending_sync_->source) {
     return;
@@ -342,8 +301,13 @@ void PtpInstance::on_follow_up(const FollowUpMessage& msg) {
   const PendingSync sync = *pending_sync_;
   pending_sync_.reset();
 
-  const double correction_ns =
-      scaled_ns::to_ns(sync.correction_scaled + msg.header.correction_scaled);
+  const auto correction = scaled_ns::checked_add(sync.correction_scaled,
+                                                 msg.header.correction_scaled);
+  if (!correction) {
+    ++counters_.malformed_messages;
+    return;
+  }
+  const double correction_ns = scaled_ns::to_ns(*correction);
 
   if (cfg_.delay_mechanism == DelayMechanism::kE2E) {
     const double t1 = static_cast<double>(msg.precise_origin.to_ns()) + correction_ns;
@@ -411,7 +375,7 @@ void PtpInstance::deliver_offset(const MasterOffsetSample& sample) {
 void PtpInstance::enable_local_servo(const PiServoConfig& cfg) { local_servo_ = PiServo(cfg); }
 
 void PtpInstance::check_sync_receipt(sim::SimTime now) {
-  if (role_ != PortRole::kSlave) return;
+  if (cfg_.role != PortRole::kSlave) return;
   const std::int64_t timeout =
       cfg_.sync_receipt_timeout_intervals * cfg_.sync_interval_ns;
   if (last_sync_rx_sim_ns_ < 0) return; // never synchronized yet
@@ -421,27 +385,6 @@ void PtpInstance::check_sync_receipt(sim::SimTime now) {
     fault("sync_receipt_timeout");
     if (local_servo_) local_servo_->reset();
   }
-}
-
-void PtpInstance::send_announce() {
-  if (!running_ || role_ != PortRole::kMaster || !bmca_) return;
-  AnnounceMessage ann;
-  ann.header.type = MessageType::kAnnounce;
-  ann.header.domain = cfg_.domain;
-  ann.header.source_port = identity_;
-  ann.header.sequence_id = ++announce_seq_;
-  ann.grandmaster_priority1 = cfg_.priority1;
-  ann.grandmaster_priority2 = cfg_.priority2;
-  ann.grandmaster_quality = cfg_.quality;
-  ann.grandmaster_identity = identity_.clock;
-  ann.steps_removed = 0;
-  ann.path_trace = {identity_.clock};
-  send_message(ann, std::nullopt, {});
-}
-
-void PtpInstance::on_announce_msg(const AnnounceMessage& msg) {
-  if (!bmca_) return;
-  bmca_->on_announce(msg, sim_.now().ns());
 }
 
 void PtpInstance::arm_sync_hop_at(std::int64_t due_ns) {
@@ -466,7 +409,6 @@ template <class Ar>
 void PtpInstance::persist(Ar& ar) {
   if constexpr (Ar::kLoading) ++epoch_; // invalidate anything captured before the restore
   ar.b(running_);
-  ar.u8(role_);
   ar.u16(sync_seq_);
   ar.i64(next_boundary_phc_);
   ar.i64(hop_due_ns_);
@@ -488,10 +430,6 @@ void PtpInstance::persist(Ar& ar) {
   ar.b(gm_receiving_);
   park_sync_check_.persist(ar, sync_check_);
   park_delay_req_.persist(ar, delay_req_timer_);
-  park_announce_.persist(ar, announce_tx_);
-  park_bmca_.persist(ar, bmca_eval_);
-  if (bmca_) bmca_->persist(ar);
-  ar.u16(announce_seq_);
   ar.opt_sparse(local_servo_, [&ar](PiServo& s) { s.persist(ar); });
   ar.i64(malicious_pot_offset_ns_);
   ar.u64(counters_.syncs_sent);
@@ -509,9 +447,8 @@ void PtpInstance::persist(Ar& ar) {
       hop_due_ns_ = -1;
       return;
     }
-    resume_timers([this] {
-      if (role_ == PortRole::kMaster && hop_due_ns_ >= 0) arm_sync_hop_at(hop_due_ns_);
-    });
+    if (cfg_.role == PortRole::kMaster && hop_due_ns_ >= 0) arm_sync_hop_at(hop_due_ns_);
+    resume_timers();
   }
 }
 TSN_PERSIST_INSTANTIATE(PtpInstance);
@@ -519,48 +456,29 @@ TSN_PERSIST_INSTANTIATE(PtpInstance);
 std::size_t PtpInstance::live_events() const {
   if (!running_) return 0;
   std::size_t n = 0;
-  if (role_ == PortRole::kMaster) ++n; // the sync-chain hop
+  if (cfg_.role == PortRole::kMaster) ++n; // the sync-chain hop
   if (sync_check_.active()) ++n;
   if (delay_req_timer_.active()) ++n;
-  if (announce_tx_.active()) ++n;
-  if (bmca_eval_.active()) ++n;
   return n;
 }
 
 void PtpInstance::ff_park() {
   park_sync_check_.park(sync_check_);
   park_delay_req_.park(delay_req_timer_);
-  park_announce_.park(announce_tx_);
-  park_bmca_.park(bmca_eval_);
   ++epoch_; // kills the sync-chain hop and any in-flight tx callbacks
 }
 
 void PtpInstance::ff_advance(const sim::FfWindow& w) {
   if (last_sync_rx_sim_ns_ >= 0) last_sync_rx_sim_ns_ += w.span_ns();
   e2e_t3_.reset(); // force a clean first post-resume E2E exchange
-  if (bmca_) bmca_->ff_advance(w);
 }
 
 void PtpInstance::ff_resume() {
   if (!running_) return;
   // Masters recompute the next launch boundary from the (analytically
   // advanced) PHC -- the sync grid is PHC-aligned, not sim-time-aligned.
-  resume_timers([this] { schedule_next_sync_tx(); });
-}
-
-void PtpInstance::evaluate_bmca() {
-  if (!bmca_ || !running_) return;
-  const auto decision = bmca_->evaluate(sim_.now().ns());
-  if (decision.role == role_) return;
-  TSN_LOG_DEBUG("ptp", "%s: BMCA role change %s -> %s", name_.c_str(), to_string(role_),
-                to_string(decision.role));
-  role_ = decision.role;
-  if (role_ == PortRole::kMaster) {
-    pending_sync_.reset();
-    schedule_next_sync_tx();
-  } else {
-    if (local_servo_) local_servo_->reset();
-  }
+  schedule_next_sync_tx();
+  resume_timers();
 }
 
 } // namespace tsn::gptp

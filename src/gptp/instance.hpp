@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "gptp/bmca.hpp"
 #include "gptp/link_delay.hpp"
 #include "gptp/messages.hpp"
 #include "gptp/msg_template.hpp"
@@ -36,7 +35,8 @@ enum class DelayMechanism { kP2P, kE2E };
 
 struct InstanceConfig {
   std::uint8_t domain = 0;
-  /// Static role (external port configuration). Ignored when use_bmca.
+  /// Static role (external port configuration, as in the paper: one
+  /// fixed GM per domain, no master election).
   PortRole role = PortRole::kSlave;
   std::int64_t sync_interval_ns = 125'000'000; // S = 125 ms (paper)
   /// Align Sync launch to multiples of the sync interval via ETF.
@@ -45,14 +45,8 @@ struct InstanceConfig {
   std::int64_t launch_guard_ns = 2'000'000;
   /// Declare the GM lost after this many silent sync intervals.
   int sync_receipt_timeout_intervals = 3;
-  /// Dynamic master selection via announce messages instead of static roles.
-  bool use_bmca = false;
   DelayMechanism delay_mechanism = DelayMechanism::kP2P;
   std::int64_t delay_req_interval_ns = 1'000'000'000;
-  std::int64_t announce_interval_ns = 1'000'000'000;
-  std::uint8_t priority1 = 246;
-  std::uint8_t priority2 = 248;
-  ClockQuality quality;
 };
 
 /// One computed master offset (the value ptp4l stores into FTSHMEM).
@@ -81,6 +75,7 @@ struct InstanceCounters {
   std::uint64_t tx_timestamp_timeouts = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t sync_receipt_timeouts = 0;
+  /// FollowUps dropped because a correction sum overflows int64.
   std::uint64_t malformed_messages = 0;
   std::uint64_t delay_reqs_answered = 0;
   std::uint64_t delay_resps_received = 0;
@@ -98,7 +93,7 @@ class PtpInstance {
   void stop();
   bool running() const { return running_; }
 
-  /// Feed a Sync/FollowUp/Announce for this instance's domain.
+  /// Feed a Sync/FollowUp/DelayReq/DelayResp for this instance's domain.
   void handle_message(const Message& msg, std::int64_t rx_ts);
 
   using OffsetCallback = std::function<void(const MasterOffsetSample&)>;
@@ -129,7 +124,6 @@ class PtpInstance {
 
   const InstanceConfig& config() const { return cfg_; }
   const InstanceCounters& counters() const { return counters_; }
-  PortRole role() const { return role_; }
   ClockIdentity clock_identity() const { return identity_.clock; }
   const std::string& name() const { return name_; }
   /// True while Syncs from the GM arrive within the receipt timeout.
@@ -146,11 +140,10 @@ class PtpInstance {
   /// them the oscillator integration segmentation -- are reproduced
   /// bit-exactly.
   void arm_sync_hop_at(std::int64_t due_ns);
-  /// Re-arm the parked periodic timers, calling `sync_hop` to re-create
-  /// the master's sync-chain hop before them (external port config) or
-  /// after them (BMCA) -- the order start() creates them in, so
+  /// Re-arm the parked periodic timers. Callers re-create the master's
+  /// sync-chain hop first -- the order start() creates them in, so
   /// same-timestamp firings keep their boot-time sequence order.
-  void resume_timers(const std::function<void()>& sync_hop);
+  void resume_timers();
   void prepare_sync_tx(std::int64_t launch_phc);
   void transmit_sync(std::int64_t launch_phc);
   void on_sync(const SyncMessage& msg, std::int64_t rx_ts);
@@ -158,7 +151,6 @@ class PtpInstance {
   void on_delay_req(const DelayReqMessage& msg, std::int64_t rx_ts);
   void on_delay_resp(const DelayRespMessage& msg);
   void send_delay_req();
-  void on_announce_msg(const AnnounceMessage& msg);
   void deliver_offset(const MasterOffsetSample& sample);
   void check_sync_receipt(sim::SimTime now);
   void schedule_at_phc(std::int64_t target_phc, std::function<void()> fn);
@@ -166,15 +158,10 @@ class PtpInstance {
   /// cancel it: a stopped instance may be destroyed (VM shutdown) before
   /// the event would fire.
   void track(sim::EventHandle h);
-  /// Cold path (Announce): serialize the message into a pooled frame.
-  void send_message(const Message& msg, std::optional<std::int64_t> launch_time,
-                    net::TxCallback on_complete);
-  /// Hot path (Sync/FollowUp/DelayReq/DelayResp): copy the pre-built,
-  /// freshly patched template image into a pooled frame.
+  /// Copy the pre-built, freshly patched template image into a pooled
+  /// frame and transmit it.
   void send_template(const MessageTemplate& tpl, std::optional<std::int64_t> launch_time,
                      net::TxCallback on_complete);
-  void send_announce();
-  void evaluate_bmca();
   void fault(const std::string& kind);
 
   sim::Simulation& sim_;
@@ -183,7 +170,6 @@ class PtpInstance {
   InstanceConfig cfg_;
   std::string name_;
   PortIdentity identity_;
-  PortRole role_;
   bool running_ = false;
 
   // Master state.
@@ -219,14 +205,8 @@ class PtpInstance {
   bool gm_receiving_ = false;
   sim::Simulation::PeriodicHandle sync_check_;
 
-  // BMCA state.
-  std::optional<BmcaEngine> bmca_;
-  sim::Simulation::PeriodicHandle announce_tx_;
-  sim::Simulation::PeriodicHandle bmca_eval_;
-  std::uint16_t announce_seq_ = 0;
-
-  // Phases of the four periodics across start-up, ff and snapshot restore.
-  sim::ParkedTimer park_sync_check_, park_delay_req_, park_announce_, park_bmca_;
+  // Phases of the two periodics across start-up, ff and snapshot restore.
+  sim::ParkedTimer park_sync_check_, park_delay_req_;
 
   OffsetCallback offset_cb_;
   std::optional<PiServo> local_servo_;

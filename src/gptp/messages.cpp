@@ -12,7 +12,6 @@ constexpr std::uint16_t kFlagTwoStep = 0x0200;     // flagField[0] bit 1
 constexpr std::uint16_t kFlagPtpTimescale = 0x0008; // flagField[1] bit 3
 
 constexpr std::uint16_t kTlvOrgExtension = 0x0003;
-constexpr std::uint16_t kTlvPathTrace = 0x0008;
 
 std::uint8_t control_field(MessageType type) {
   switch (type) {
@@ -130,28 +129,6 @@ struct SerializerT {
     w.port_identity(m.requesting_port);
     finish(w);
   }
-
-  void operator()(const AnnounceMessage& m) {
-    BasicByteWriter<Buf> w(out);
-    write_header(w, m.header);
-    w.zeros(10); // originTimestamp (reserved in 802.1AS)
-    w.u16(0);    // currentUtcOffset
-    w.u8(0);     // reserved
-    w.u8(m.grandmaster_priority1);
-    w.u8(m.grandmaster_quality.clock_class);
-    w.u8(m.grandmaster_quality.clock_accuracy);
-    w.u16(m.grandmaster_quality.offset_scaled_log_variance);
-    w.u8(m.grandmaster_priority2);
-    w.clock_identity(m.grandmaster_identity);
-    w.u16(m.steps_removed);
-    w.u8(m.time_source);
-    if (!m.path_trace.empty()) {
-      w.u16(kTlvPathTrace);
-      w.u16(static_cast<std::uint16_t>(8 * m.path_trace.size()));
-      for (const auto& id : m.path_trace) w.clock_identity(id);
-    }
-    finish(w);
-  }
 };
 
 std::optional<Message> parse_body(ByteReader& r, const MessageHeader& h) {
@@ -209,32 +186,6 @@ std::optional<Message> parse_body(ByteReader& r, const MessageHeader& h) {
       m.header = h;
       m.response_origin = r.timestamp();
       m.requesting_port = r.port_identity();
-      if (!r.ok()) return std::nullopt;
-      return m;
-    }
-    case MessageType::kAnnounce: {
-      AnnounceMessage m;
-      m.header = h;
-      r.skip(10); // originTimestamp
-      r.u16();    // currentUtcOffset
-      r.u8();     // reserved
-      m.grandmaster_priority1 = r.u8();
-      m.grandmaster_quality.clock_class = r.u8();
-      m.grandmaster_quality.clock_accuracy = r.u8();
-      m.grandmaster_quality.offset_scaled_log_variance = r.u16();
-      m.grandmaster_priority2 = r.u8();
-      m.grandmaster_identity = r.clock_identity();
-      m.steps_removed = r.u16();
-      m.time_source = r.u8();
-      if (r.remaining() >= 4) {
-        if (r.u16() == kTlvPathTrace) {
-          const std::uint16_t len = r.u16();
-          if (len % 8 != 0 || len > r.remaining()) return std::nullopt;
-          for (std::uint16_t i = 0; i < len / 8; ++i) {
-            m.path_trace.push_back(r.clock_identity());
-          }
-        }
-      }
       if (!r.ok()) return std::nullopt;
       return m;
     }

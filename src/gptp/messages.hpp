@@ -27,7 +27,8 @@ enum class MessageType : std::uint8_t {
   kFollowUp = 0x8,
   kDelayResp = 0x9,
   kPdelayRespFollowUp = 0xA,
-  kAnnounce = 0xB,
+  // No Announce (0xB): every port role is configured externally, so
+  // parse() rejects it like any other unknown messageType.
 };
 
 /// Common PTP header (34 bytes on the wire).
@@ -87,20 +88,8 @@ struct PdelayRespFollowUpMessage {
   PortIdentity requesting_port;
 };
 
-struct AnnounceMessage {
-  MessageHeader header;
-  std::uint8_t grandmaster_priority1 = 246;
-  ClockQuality grandmaster_quality;
-  std::uint8_t grandmaster_priority2 = 248;
-  ClockIdentity grandmaster_identity;
-  std::uint16_t steps_removed = 0;
-  std::uint8_t time_source = 0xA0; // internal oscillator
-  std::vector<ClockIdentity> path_trace;
-};
-
 using Message = std::variant<SyncMessage, FollowUpMessage, PdelayReqMessage, PdelayRespMessage,
-                             PdelayRespFollowUpMessage, AnnounceMessage, DelayReqMessage,
-                             DelayRespMessage>;
+                             PdelayRespFollowUpMessage, DelayReqMessage, DelayRespMessage>;
 
 /// Access the common header of any message alternative.
 const MessageHeader& header_of(const Message& msg);

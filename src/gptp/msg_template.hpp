@@ -8,9 +8,8 @@
 // image into a pooled frame. Offsets follow IEEE 1588-2019 clause 13 and
 // are cross-checked against the generic serializer by the unit tests.
 //
-// Only fixed-size messages are supported (<= 96 bytes, the frame pool's
-// inline payload). Announce with its variable path-trace TLV stays on the
-// generic serialize_into path.
+// Every gPTP message is fixed-size and fits the frame pool's 96-byte
+// inline payload.
 #pragma once
 
 #include <array>

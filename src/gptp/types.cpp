@@ -41,14 +41,4 @@ std::int64_t Timestamp::to_ns() const {
          static_cast<std::int64_t>(nanoseconds);
 }
 
-const char* to_string(PortRole role) {
-  switch (role) {
-    case PortRole::kDisabled: return "disabled";
-    case PortRole::kMaster: return "master";
-    case PortRole::kSlave: return "slave";
-    case PortRole::kPassive: return "passive";
-  }
-  return "?";
-}
-
 } // namespace tsn::gptp

@@ -4,6 +4,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace tsn::gptp {
@@ -51,6 +52,11 @@ struct Timestamp {
   std::uint64_t seconds = 0; // only low 48 bits are valid on the wire
   std::uint32_t nanoseconds = 0;
 
+  /// Largest seconds value whose to_ns() fits in int64 for any 32-bit
+  /// nanoseconds field; parse() rejects timestamps beyond it.
+  static constexpr std::uint64_t kMaxSeconds =
+      (static_cast<std::uint64_t>(INT64_MAX) - UINT32_MAX) / 1'000'000'000;
+
   static Timestamp from_ns(std::int64_t ns);
   std::int64_t to_ns() const;
 
@@ -66,6 +72,13 @@ constexpr std::int64_t from_ns(double ns) {
 constexpr double to_ns(std::int64_t scaled) {
   return static_cast<double>(scaled) / static_cast<double>(kOne);
 }
+/// Sum of two correction values; nullopt when it does not fit in int64
+/// (only a hostile or broken sender gets there: the receiver drops it).
+inline std::optional<std::int64_t> checked_add(std::int64_t a, std::int64_t b) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) return std::nullopt;
+  return sum;
+}
 } // namespace scaled_ns
 
 /// cumulativeScaledRateOffset semantics: (rateRatio - 1.0) * 2^41.
@@ -79,22 +92,10 @@ inline double to_ratio(std::int32_t scaled) {
 }
 } // namespace rate_offset
 
-/// IEEE 1588 clockQuality.
-struct ClockQuality {
-  std::uint8_t clock_class = 248;            // default, application specific
-  std::uint8_t clock_accuracy = 0xFE;        // unknown
-  std::uint16_t offset_scaled_log_variance = 0x4E5D; // 802.1AS default
-
-  friend constexpr auto operator<=>(const ClockQuality&, const ClockQuality&) = default;
-};
-
 enum class PortRole : std::uint8_t {
   kDisabled = 0,
   kMaster = 1,
   kSlave = 2,
-  kPassive = 3,
 };
-
-const char* to_string(PortRole role);
 
 } // namespace tsn::gptp

@@ -43,6 +43,7 @@ Timestamp ByteReader::timestamp() {
   Timestamp ts;
   ts.seconds = u48();
   ts.nanoseconds = u32();
+  if (ts.seconds > Timestamp::kMaxSeconds) ok_ = false; // to_ns() would overflow
   return ts;
 }
 

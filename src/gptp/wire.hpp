@@ -86,6 +86,7 @@ class ByteReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   void skip(std::size_t n);
+  /// Fails the reader on seconds beyond Timestamp::kMaxSeconds.
   Timestamp timestamp();
   ClockIdentity clock_identity();
   PortIdentity port_identity();

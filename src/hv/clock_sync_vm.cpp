@@ -53,7 +53,7 @@ void ClockSyncVm::build_stack() {
   for (std::uint8_t domain : cfg_.domains) {
     gptp::InstanceConfig icfg = cfg_.instance;
     icfg.domain = domain;
-    icfg.use_bmca = false; // external port configuration (paper setup)
+    // External port configuration (paper setup).
     icfg.role = (cfg_.gm_domain && *cfg_.gm_domain == domain) ? gptp::PortRole::kMaster
                                                               : gptp::PortRole::kSlave;
     auto& inst = stack_->add_instance(icfg);

@@ -23,10 +23,10 @@ struct VlanTag {
 };
 
 /// Frame payload with small-buffer storage: 96 inline bytes cover every
-/// gPTP PDU the stack builds (the largest fixed-size message, FollowUp
-/// with its information TLV, is 76 bytes), so the frame hot path never
-/// allocates. Oversize payloads (Announce with a long path-trace TLV,
-/// jumbo measurement frames) transparently spill to the heap.
+/// gPTP PDU the stack builds (the largest, FollowUp with its information
+/// TLV, is 76 bytes), so the frame hot path never
+/// allocates. Oversize payloads (jumbo measurement frames) transparently
+/// spill to the heap.
 ///
 /// The interface is the subset of std::vector<uint8_t> the codebase uses,
 /// so wire writers/readers work over either container.

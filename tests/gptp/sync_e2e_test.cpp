@@ -206,45 +206,5 @@ TEST(SyncE2eTest, StopHaltsTransmission) {
   (void)slave;
 }
 
-TEST(SyncE2eTest, BmcaElectsSingleMasterAndSynchronizes) {
-  // Both ends run BMCA; the better clock (lower priority1) becomes GM.
-  StackPair p(1.0, -1.0, symmetric_link(800), 0.0, 5);
-  InstanceConfig a;
-  a.domain = 0;
-  a.use_bmca = true;
-  a.priority1 = 50; // better
-  InstanceConfig b = a;
-  b.priority1 = 200;
-  auto& ia = p.stack_a.add_instance(a);
-  auto& ib = p.stack_b.add_instance(b);
-  ib.enable_local_servo({});
-  p.stack_a.start();
-  p.stack_b.start();
-  p.sim.run_until(SimTime(30_s));
-  EXPECT_EQ(ia.role(), PortRole::kMaster);
-  EXPECT_EQ(ib.role(), PortRole::kSlave);
-  EXPECT_GT(ib.counters().offsets_computed, 50u);
-  EXPECT_LT(std::abs(static_cast<double>(p.nic_a.phc().read() - p.nic_b.phc().read())), 200.0);
-}
-
-TEST(SyncE2eTest, BmcaFailsOverWhenMasterDies) {
-  StackPair p(0.0, 0.0, symmetric_link(800));
-  InstanceConfig a;
-  a.use_bmca = true;
-  a.priority1 = 50;
-  InstanceConfig b = a;
-  b.priority1 = 200;
-  auto& ia = p.stack_a.add_instance(a);
-  auto& ib = p.stack_b.add_instance(b);
-  p.stack_a.start();
-  p.stack_b.start();
-  p.sim.run_until(SimTime(10_s));
-  ASSERT_EQ(ib.role(), PortRole::kSlave);
-  p.nic_a.set_up(false); // master vanishes
-  p.sim.run_until(SimTime(20_s));
-  EXPECT_EQ(ib.role(), PortRole::kMaster); // announce timeout -> takeover
-  (void)ia;
-}
-
 } // namespace
 } // namespace tsn::gptp

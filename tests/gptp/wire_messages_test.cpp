@@ -158,37 +158,6 @@ TEST(MessagesTest, PdelayRespFollowUpRoundTrip) {
   EXPECT_EQ(fup->response_origin.to_ns(), 42);
 }
 
-TEST(MessagesTest, AnnounceRoundTripWithPathTrace) {
-  AnnounceMessage m;
-  m.header = sample_header(MessageType::kAnnounce);
-  m.grandmaster_priority1 = 100;
-  m.grandmaster_priority2 = 200;
-  m.grandmaster_quality = {6, 0x20, 0x1234};
-  m.grandmaster_identity = ClockIdentity::from_u64(0xCAFE);
-  m.steps_removed = 3;
-  m.time_source = 0x10;
-  m.path_trace = {ClockIdentity::from_u64(1), ClockIdentity::from_u64(2)};
-  const auto parsed = parse(serialize(Message{m}));
-  ASSERT_TRUE(parsed.has_value());
-  const auto* ann = std::get_if<AnnounceMessage>(&*parsed);
-  ASSERT_NE(ann, nullptr);
-  EXPECT_EQ(ann->grandmaster_priority1, 100);
-  EXPECT_EQ(ann->grandmaster_quality.clock_class, 6);
-  EXPECT_EQ(ann->grandmaster_quality.offset_scaled_log_variance, 0x1234);
-  EXPECT_EQ(ann->grandmaster_identity.to_u64(), 0xCAFEu);
-  EXPECT_EQ(ann->steps_removed, 3);
-  ASSERT_EQ(ann->path_trace.size(), 2u);
-  EXPECT_EQ(ann->path_trace[1].to_u64(), 2u);
-}
-
-TEST(MessagesTest, AnnounceWithoutPathTrace) {
-  AnnounceMessage m;
-  m.header = sample_header(MessageType::kAnnounce);
-  const auto parsed = parse(serialize(Message{m}));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(std::get_if<AnnounceMessage>(&*parsed)->path_trace.empty());
-}
-
 TEST(MessagesTest, MessageLengthFieldMatches) {
   SyncMessage m{sample_header(MessageType::kSync)};
   const auto bytes = serialize(Message{m});
